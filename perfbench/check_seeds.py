@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Seed discipline check: every workload at the default seed and at a second
-seed, each run gated by run.py (zero failed ops, pinned fingerprint).
+seed, for BENCHMARK.json's run length, each run gated like run.py does.
 
-    python3 perfbench/check_seeds.py [--seconds 20] [--seeds 1,2]
+    python3 perfbench/check_seeds.py
 
-Also checks that the op count does not depend on the seed and that the two
-seeds really run different op lists (different fingerprints). Exits 1 on
-any failure. Takes about four minutes at the default run length.
+Fails unless every run has zero failed ops and matches its pinned
+fingerprint, the op count does not depend on the seed, and the two seeds
+really run different op lists (different fingerprints). Exits 1 on any
+failure. Takes about four minutes.
 """
 
-import argparse
 import json
 import os
 import subprocess
@@ -22,45 +22,38 @@ sys.path.insert(0, HERE)
 import metrics  # noqa: E402
 import run  # noqa: E402
 
+SEEDS = (1, 2)
+
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--seeds", default="1,2")
-    args = ap.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
+    with open(os.path.join(run.ROOT, "BENCHMARK.json")) as f:
+        seconds = json.load(f)["run_seconds"]
+    run.build()
     pins = run.load_pins()
-    os.makedirs(os.path.dirname(run.BUILD_DIR), exist_ok=True)
-    record_path = os.path.join(os.path.dirname(run.BUILD_DIR), "seed-check.json")
-
     problems = []
     for workload in run.WORKLOADS:
         seen = {}
-        for seed in seeds:
-            proc = subprocess.run(
-                [sys.executable, os.path.join(HERE, "run.py"),
-                 "--workload", workload, "--seed", str(seed),
-                 "--seconds", str(args.seconds), "--trace", "0",
-                 "--record", record_path],
-                stdout=subprocess.PIPE, text=True)
-            result = metrics.parse_result(proc.stdout.strip().splitlines()[-1])
-            with open(record_path) as f:
-                record = json.load(f)
-            pinned = any(p["seed"] == seed and p["ops"] == record["ops"]
-                         for p in pins.get(workload, []))
-            print("%-18s seed %-3d rc %d attempted %-5d failed %d "
-                  "fingerprint %s%s" % (
-                      workload, seed, proc.returncode, result["attempted"],
-                      result["failed"], record["fingerprint"],
-                      " (pinned)" if pinned else ""))
-            if proc.returncode != 0 or result["failed"] or not result["correct"]:
-                problems.append("%s seed %d failed" % (workload, seed))
+        for seed in SEEDS:
+            where = "%s seed %d" % (workload, seed)
+            try:
+                record = run.run_binary(workload, seed, seconds, trace=False)
+            except (RuntimeError, OSError, subprocess.SubprocessError) as e:
+                problems.append("%s: %s" % (where, e))
+                continue
+            failed, reasons = metrics.gate(record, pins)
+            problems += ["%s: %s" % (where, r) for r in reasons]
+            if "error" in record:
+                continue
+            if metrics.find_pin(record, pins) is None:
+                problems.append("%s: no pinned fingerprint at %d ops" % (
+                    where, record["ops"]))
+            print("%-24s attempted %-5d failed %d fingerprint %s" % (
+                where, record["timed_ops"], failed, record["fingerprint"]))
             seen[seed] = (record["ops"], record["fingerprint"])
-        if len({ops for ops, _ in seen.values()}) != 1:
+        if len({ops for ops, _ in seen.values()}) > 1:
             problems.append("%s: op count depends on the seed" % workload)
-        if len({fp for _, fp in seen.values()}) != len(seen):
+        if len({fp for _, fp in seen.values()}) < len(seen):
             problems.append("%s: seeds share a fingerprint" % workload)
-    os.remove(record_path)
     for p in problems:
         print("FAILED: " + p)
     return 1 if problems else 0

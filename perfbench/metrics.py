@@ -176,7 +176,6 @@ def per_layer(record):
     layers = record["layers"]
     deliveries = sum(layers["deliveries"])
     retransmits = sum(layers["retransmits"])
-    untraced_p50 = end_to_end(record)["op_ms_p50"]
     return {
         "exp.op_overhead_ms": statistics.median(overhead_ms),
         "exp.report_ms": report_ms,
@@ -200,29 +199,50 @@ def per_layer(record):
         "aer.mem_bytes_per_node": _mean(layers["mem_bytes_per_node"]),
         "proc.setup_minflt": float(record["setup_minflt"]),
         "proc.op_minflt": _mean(layers["op_minflt"]),
-        "trace.overhead_frac":
-            statistics.median(record["traced_op_ms"]) / untraced_p50 - 1.0,
+        "trace.overhead_frac": trace_overhead(record, spans),
     }
+
+
+def trace_overhead(record, spans):
+    """Tracing cost as a share of an untraced op: the calibrated cost of one
+    span (record["span_ns"]) times the spans per op, over the median traced
+    op less that cost. Both come from the traced pass itself, so host drift
+    between passes does not enter."""
+    ops = len(record["traced_op_ms"])
+    per_op_ms = record["span_ns"] * 1e-6 * sum(
+        1 for s in spans if s["op"] >= 0) / ops
+    return per_op_ms / (statistics.median(record["traced_op_ms"]) - per_op_ms)
+
+
+def find_pin(record, pins):
+    """The pin of this record's (workload, seed, op count), or None."""
+    for pin in pins.get(record["workload"], []):
+        if pin["seed"] == record["seed"] and pin["ops"] == record["ops"]:
+            return pin
+    return None
 
 
 def gate(record, pins):
     """Correctness of a record: (failed op count, list of reasons).
 
-    An op fails when a correct node decided wrong in it. Every op fails when
-    the run's fingerprint differs from the pinned one for this (workload,
-    seed, op count), or when the traced replay's fingerprint differs from
-    the untraced run's."""
+    Every op fails when the process caught an exception (the record then
+    carries "error" and no measurements). Otherwise an op fails when a
+    correct node decided wrong in it, and every op fails when the run's
+    fingerprint differs from the pinned one for this (workload, seed, op
+    count), or when the traced replay's fingerprint differs from the
+    untraced run's."""
     attempted = record["timed_ops"]
+    if "error" in record:
+        return attempted, ["an op threw: %s" % record["error"]]
     failed = record["wrong_ops"]
     reasons = []
     if record["wrong_ops"]:
         reasons.append("%d ops decided wrong" % record["wrong_ops"])
-    for pin in pins.get(record["workload"], []):
-        if pin["seed"] == record["seed"] and pin["ops"] == record["ops"]:
-            if pin["fingerprint"] != record["fingerprint"]:
-                failed = attempted
-                reasons.append("fingerprint %s != pinned %s" % (
-                    record["fingerprint"], pin["fingerprint"]))
+    pin = find_pin(record, pins)
+    if pin and pin["fingerprint"] != record["fingerprint"]:
+        failed = attempted
+        reasons.append("fingerprint %s != pinned %s" % (
+            record["fingerprint"], pin["fingerprint"]))
     if record.get("traced"):
         failed = max(failed, record["traced_wrong_ops"])
         if record["traced_fingerprint"] != record["fingerprint"]:

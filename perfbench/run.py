@@ -41,27 +41,56 @@ def build():
         raise SystemExit("perfbench: no library sources under %s/src" % ROOT)
     jobs = str(max(1, min(4, os.cpu_count() or 1)))
     if not os.path.isfile(os.path.join(BUILD_DIR, "CMakeCache.txt")):
-        subprocess.run(
-            ["cmake", "-S", HERE, "-B", BUILD_DIR,
-             "-DCMAKE_BUILD_TYPE=RelWithDebInfo"],
-            check=True, stdout=sys.stderr)
+        subprocess.run(["cmake", "-S", HERE, "-B", BUILD_DIR],
+                       check=True, stdout=sys.stderr)
     subprocess.run(["cmake", "--build", BUILD_DIR, "-j", jobs],
                    check=True, stdout=sys.stderr)
 
 
 def run_binary(workload, seed, seconds, trace):
+    """The raw record of one fresh fba_perfbench process. A process that
+    caught an exception still writes a record, with an "error" field; one
+    that wrote no record at all raises RuntimeError."""
     cmd = [BINARY, "--workload=" + workload, "--seed=%d" % seed,
            "--seconds=%d" % seconds]
     if trace:
         cmd.append("--trace")
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE, timeout=RUN_TIMEOUT_S,
-                          check=True)
-    return json.loads(proc.stdout.decode().strip().splitlines()[-1])
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.decode().strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise RuntimeError("fba_perfbench exited with code %d and no record"
+                           % proc.returncode) from None
 
 
 def load_pins():
     with open(os.path.join(HERE, "pins.json")) as f:
         return json.load(f)
+
+
+def summary(record, pins):
+    """Lines describing a successful record: op counts, the fingerprint and
+    whether a pin covers it, and the noise diagnostics."""
+    pin = metrics.find_pin(record, pins)
+    return [
+        "workload %s seed %d: %d timed ops (+%d warm-up), %d set-ups, "
+        "highest tail percentile p%g" % (
+            record["workload"], record["seed"], record["timed_ops"],
+            record["warmup"], len(record["setup_s"]),
+            metrics.tail_percentile(record["timed_ops"])),
+        "fingerprint %s, %s" % (
+            record["fingerprint"],
+            "pinned" if pin else
+            "unpinned: pins.json has none for seed %d at %d ops"
+            % (record["seed"], record["ops"])),
+        "noise: %s" % json.dumps({
+            "ops": record["timed_ops"],
+            "involuntary_ctx_switches": record["nivcsw"],
+            "steal_ticks": record["steal_ticks"],
+            "disagreements": record["disagreements"],
+        }),
+    ]
 
 
 def main(argv=None):
@@ -70,7 +99,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--record", help="also write the raw record to this file")
     args = ap.parse_args(argv)
     if args.seed < 0 or args.seconds < 1:
         ap.error("--seed must be >= 0 and --seconds >= 1")
@@ -78,31 +106,23 @@ def main(argv=None):
     t0 = time.monotonic()
     build()
     log("perfbench: build ready in %.1fs" % (time.monotonic() - t0))
-    record = run_binary(args.workload, args.seed, args.seconds, args.trace)
-    if args.record:
-        with open(args.record, "w") as f:
-            json.dump(record, f)
-
-    failed, reasons = metrics.gate(record, load_pins())
-    if args.trace:
-        values, units = metrics.per_layer(record), dict(metrics.PER_LAYER)
-    else:
-        values, units = metrics.end_to_end(record), dict(metrics.END_TO_END)
-
-    tail = metrics.tail_percentile(record["timed_ops"])
-    print("workload %s seed %d: %d timed ops (+%d warm-up), %d set-ups, "
-          "fingerprint %s, highest tail percentile p%g" % (
-              record["workload"], record["seed"], record["timed_ops"],
-              record["warmup"], len(record["setup_s"]),
-              record["fingerprint"], tail))
-    for name, value in values.items():
-        print("  %-28s %14.6g %s" % (name, value, units[name]))
-    print("noise: %s" % json.dumps({
-        "ops": record["timed_ops"],
-        "involuntary_ctx_switches": record["nivcsw"],
-        "steal_ticks": record["steal_ticks"],
-        "disagreements": record["disagreements"],
-    }))
+    try:
+        record = run_binary(args.workload, args.seed, args.seconds, args.trace)
+    except RuntimeError as e:
+        log("perfbench: %s" % e)
+        return 1
+    pins = load_pins()
+    failed, reasons = metrics.gate(record, pins)
+    values, units = {}, {}
+    if "error" not in record:
+        if args.trace:
+            values, units = metrics.per_layer(record), dict(metrics.PER_LAYER)
+        else:
+            values, units = metrics.end_to_end(record), dict(metrics.END_TO_END)
+        for line in summary(record, pins):
+            print(line)
+        for name, value in values.items():
+            print("  %-28s %14.6g %s" % (name, value, units[name]))
     for reason in reasons:
         print("FAILED: " + reason)
     correct = failed == 0 and not reasons

@@ -128,16 +128,6 @@ int main(int argc, char** argv) {
   perfbench::RunRecord rec;
   const perfbench::ProcCounters proc0 = perfbench::proc_counters();
   const std::int64_t steal0 = perfbench::steal_ticks();
-  try {
-    rec = perfbench::run_workload(*spec, plan);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fba_perfbench: %s failed: %s\n", spec->name,
-                 e.what());
-    return 1;
-  }
-  const perfbench::ProcCounters proc1 = perfbench::proc_counters();
-  const std::int64_t steal1 = perfbench::steal_ticks();
-
   JsonWriter w;
   w.begin_object();
   w.field("workload", spec->name);
@@ -145,6 +135,22 @@ int main(int argc, char** argv) {
   w.field("base_seed", plan.base_seed);
   w.field("n", spec->n);
   w.field("ops", plan.ops);
+  try {
+    rec = perfbench::run_workload(*spec, plan);
+  } catch (const std::exception& e) {
+    // A throwing op fails the run, but the record still says how many ops
+    // it attempted, so the failure counts against them.
+    std::fprintf(stderr, "fba_perfbench: %s failed: %s\n", spec->name,
+                 e.what());
+    w.field("timed_ops", plan.ops);
+    w.field("error", std::string(e.what()));
+    w.end_object();
+    std::printf("%s\n", w.str().c_str());
+    return 1;
+  }
+  const perfbench::ProcCounters proc1 = perfbench::proc_counters();
+  const std::int64_t steal1 = perfbench::steal_ticks();
+
   w.field("warmup", spec->warmup);
   w.field("timed_ops", rec.timed_ops);
   w.array("setup_s", rec.setup_s);
@@ -164,6 +170,7 @@ int main(int argc, char** argv) {
   if (rec.traced) {
     w.field("traced_fingerprint", hex(rec.traced_fingerprint));
     w.field("traced_wrong_ops", rec.traced_wrong_ops);
+    w.field("span_ns", rec.span_ns);
     w.array("traced_op_ms", rec.traced_op_ms);
     write_layers(w, rec.layers);
     write_spans(w, rec.spans);

@@ -2,8 +2,10 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -18,6 +20,23 @@ std::int32_t Tracer::begin(const char* name, std::int64_t op,
                            std::int32_t parent) {
   spans_.push_back(Span{name, op, parent, now_s(), 0});
   return static_cast<std::int32_t>(spans_.size() - 1);
+}
+
+double span_cost_ns() {
+  constexpr std::size_t kSpans = 1 << 14;
+  constexpr std::size_t kBatches = 9;
+  std::vector<double> per_span;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    Tracer tracer(kSpans);
+    const double t0 = now_s();
+    for (std::size_t i = 0; i < kSpans; ++i) {
+      Scope span(&tracer, "calibrate", 0);
+    }
+    per_span.push_back((now_s() - t0) * 1e9 / kSpans);
+  }
+  std::nth_element(per_span.begin(), per_span.begin() + kBatches / 2,
+                   per_span.end());
+  return per_span[kBatches / 2];
 }
 
 ProcCounters proc_counters() {
@@ -105,6 +124,12 @@ JsonWriter& JsonWriter::value(const std::string& v) {
   separate();
   out_ += '"';
   for (char c : v) {
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char esc[8];
+      std::snprintf(esc, sizeof(esc), "\\u%04x", static_cast<unsigned>(c));
+      out_ += esc;
+      continue;
+    }
     if (c == '"' || c == '\\') out_ += '\\';
     out_ += c;
   }

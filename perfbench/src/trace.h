@@ -42,6 +42,9 @@ class Tracer {
   std::vector<Span> spans_;
 };
 
+/// Median cost in ns of one span's begin and end, timed in a tight loop.
+double span_cost_ns();
+
 /// RAII span: begins on construction, ends on destruction. A null tracer
 /// makes it a no-op, so one code path serves traced and untraced ops.
 class Scope {

@@ -511,6 +511,7 @@ RunRecord run_workload(const WorkloadSpec& spec, const RunPlan& plan) {
       break;
   }
   rec.spans = tracer.spans();
+  rec.span_ns = span_cost_ns();
   return rec;
 }
 

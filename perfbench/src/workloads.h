@@ -90,6 +90,7 @@ struct RunRecord {
   std::uint64_t traced_fingerprint = 0;
   std::size_t traced_wrong_ops = 0;
   std::vector<double> traced_op_ms;
+  double span_ns = 0;  ///< calibrated cost of one span (span_cost_ns).
   LayerSamples layers;
   std::vector<Span> spans;
 };

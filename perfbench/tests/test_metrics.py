@@ -162,7 +162,7 @@ class DerivationTest(unittest.TestCase):
         layers.update(deliveries=[600.0, 600.0], retransmits=[2.0, 2.0],
                       dups=[1.0, 0.0])
         record = raw_record(traced=True, spans=rows, layers=layers,
-                            traced_op_ms=[11.5, 11.5],
+                            traced_op_ms=[10.0, 10.0], span_ns=2e4,
                             traced_fingerprint="00ab", traced_wrong_ops=0)
         m = metrics.per_layer(record)
         self.assertEqual(set(m), {n for n, _ in metrics.PER_LAYER})
@@ -173,7 +173,8 @@ class DerivationTest(unittest.TestCase):
         self.assertAlmostEqual(m["net.ns_per_delivery"], 0.012e9 / 1200)
         self.assertAlmostEqual(m["net.recovery.dup_ratio"], 0.25)
         self.assertAlmostEqual(m["sampler.rows_built"], 2.0)
-        self.assertAlmostEqual(m["trace.overhead_frac"], 0.0)
+        # Five 20 us spans per op: 0.1 ms of a 10 ms traced op.
+        self.assertAlmostEqual(m["trace.overhead_frac"], 0.1 / 9.9)
 
 
 class GateTest(unittest.TestCase):
@@ -193,6 +194,22 @@ class GateTest(unittest.TestCase):
         # A pin for another op count does not apply.
         pins["sweep-sync"][0].update(fingerprint="ffff", ops=5)
         self.assertEqual(metrics.gate(raw_record(), pins), (0, []))
+
+    def test_find_pin(self):
+        pin = {"seed": 1, "ops": 4, "fingerprint": "00ab"}
+        pins = {"sweep-sync": [{"seed": 2, "ops": 4, "fingerprint": "ff"},
+                               pin]}
+        self.assertIs(metrics.find_pin(raw_record(), pins), pin)
+        self.assertIsNone(metrics.find_pin(raw_record(seed=3), pins))
+        self.assertIsNone(metrics.find_pin(raw_record(ops=5), pins))
+        self.assertIsNone(metrics.find_pin(raw_record(), {}))
+
+    def test_error_record_fails_every_op(self):
+        record = {"workload": "sweep-sync", "seed": 1, "ops": 4,
+                  "timed_ops": 4, "error": "boom"}
+        failed, reasons = metrics.gate(record, {})
+        self.assertEqual(failed, 4)
+        self.assertIn("boom", reasons[0])
 
     def test_traced_fingerprint_must_match(self):
         record = raw_record(traced=True, traced_fingerprint="0bad",
