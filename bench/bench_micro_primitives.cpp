@@ -378,16 +378,19 @@ BENCHMARK(BM_TrialSetup)->Arg(256)->Arg(2048);
 /// AER trial (world rebuild + engine run + outcome harvest) must not touch
 /// the heap. Counted via the instrumented global allocator; any allocation
 /// fails the benchmark (and the CI smoke step with it). Mirrors
-/// BM_SteadyStateSendAllocations, one level up.
-void BM_WarmTrialAllocations(benchmark::State& state) {
+/// BM_SteadyStateSendAllocations, one level up. `model` picks the engine:
+/// the sync calendar buckets, or the async calendar ring's slab, link array
+/// and key scratch.
+void warm_trial_allocations(benchmark::State& state, aer::Model model,
+                            const char* counter) {
   exp::TrialArena arena;
   exp::GridPoint point;
   point.n = 64;
-  point.model = aer::Model::kSyncRushing;
+  point.model = model;
   point.strategy = "none";
   aer::AerConfig cfg;
   cfg.n = 64;
-  cfg.model = aer::Model::kSyncRushing;
+  cfg.model = model;
   exp::TrialOutcome out;
   // Warm-up: grow every pool/slab/table to these trials' working-set size.
   // The measured loop re-runs the same seeds: the zero-allocation contract
@@ -410,14 +413,23 @@ void BM_WarmTrialAllocations(benchmark::State& state) {
     allocs += g_alloc_count.load(std::memory_order_relaxed);
     ++trials;
   }
-  state.counters["warm_trial_allocs"] =
+  state.counters[counter] =
       static_cast<double>(allocs) / static_cast<double>(trials);
   if (allocs != 0) {
     state.SkipWithError("warm-arena trial performed heap allocations");
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(trials));
 }
+
+void BM_WarmTrialAllocations(benchmark::State& state) {
+  warm_trial_allocations(state, aer::Model::kSyncRushing, "warm_trial_allocs");
+}
 BENCHMARK(BM_WarmTrialAllocations);
+
+void BM_WarmAsyncTrialAllocations(benchmark::State& state) {
+  warm_trial_allocations(state, aer::Model::kAsync, "warm_async_trial_allocs");
+}
+BENCHMARK(BM_WarmAsyncTrialAllocations);
 
 /// The service-mode zero-allocation contract, one level above
 /// BM_WarmTrialAllocations: once a pipeline worker's arena is warm, a full

@@ -1,8 +1,8 @@
 // EventQueue: the shared pending-event core under both engines.
 //
-// Events (message deliveries and timer firings) live by value in contiguous
-// slabs — no per-event heap allocation on the steady-state path (slabs grow
-// amortized and are then reused). Ordering key is (at, pri, seq):
+// Events (message deliveries and timer firings) live by value in slabs that
+// are reused in place — no per-event heap allocation on the steady-state
+// path. Ordering key is (at, pri, seq):
 //   - `at`  — delivery time (sim time in the async engine, round number in
 //             the sync engine);
 //   - `pri` — same-timestamp delivery class, the engines' timing-policy
@@ -12,15 +12,26 @@
 //   - `seq` — push order, so delivery is FIFO among equal (at, pri).
 //
 // Two storage modes, chosen by the owning engine's timing model:
-//   - kHeap    — an implicit 4-ary min-heap; for continuous timestamps
-//                (async engine). O(log n) push/pop.
-//   - kBuckets — a calendar ring of per-timestamp buckets with one lane per
-//                priority class; for integral timestamps (sync rounds).
-//                O(1) push, O(1)-per-event batched pop, nothing is ever
-//                sifted — a round with a million pending messages drains at
-//                memcpy speed. Ring slots (and their lane capacity) are
-//                reused in place as time advances, so the steady state
-//                performs no allocation at all.
+//   - kCalendar — an exact-order calendar ring for continuous timestamps
+//                 (async engine). The async model bounds every message delay
+//                 by one time unit, so pending events sit in a window a few
+//                 units wide. The ring cuts time into slots of
+//                 1/kSlotsPerUnit; each slot is an intrusive list over one
+//                 chunked, pointer-stable event slab. Entering a slot sorts
+//                 its small (at, pri<<56|seq, index) keys, and pops follow a
+//                 cursor through them; a push into the slot being drained is
+//                 inserted after the cursor by binary search. Events beyond
+//                 the ring's span (far recovery timers) wait in an overflow
+//                 min-heap of keys and move into the ring as it advances. An
+//                 occupancy bitmap skips empty slots. Pop order is exactly
+//                 (at, pri, seq), nothing 104 bytes wide is ever sifted.
+//   - kBuckets  — a calendar ring of per-timestamp buckets with one lane per
+//                 priority class; for integral timestamps (sync rounds).
+//                 O(1) push, O(1)-per-event batched pop, nothing is ever
+//                 sifted — a round with a million pending messages drains at
+//                 memcpy speed. Ring slots (and their lane capacity) are
+//                 reused in place as time advances, so the steady state
+//                 performs no allocation at all.
 //
 // The engines are thin timing policies over this core: they decide each
 // event's (at, pri) and consume the ordered stream via pop() or the batched
@@ -30,7 +41,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "net/envelope.h"
@@ -41,8 +52,8 @@ namespace fba::sim {
 class EventQueue {
  public:
   enum class Mode {
-    kHeap,     ///< continuous timestamps, 4-ary min-heap.
-    kBuckets,  ///< integral timestamps, per-round calendar buckets.
+    kCalendar,  ///< continuous timestamps, exact-order calendar ring.
+    kBuckets,   ///< integral timestamps, per-round calendar buckets.
   };
 
   /// Priority classes supported in bucket mode (lanes per bucket).
@@ -67,19 +78,21 @@ class EventQueue {
     RecoveryTag rec() const { return RecoveryTag{rec_slot1, rec_gen}; }
   };
 
-  explicit EventQueue(Mode mode = Mode::kHeap) : mode_(mode) {}
+  explicit EventQueue(Mode mode = Mode::kCalendar) : mode_(mode) {
+    heads_.fill(kNil);
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-  void reserve(std::size_t n);
 
-  /// Empties the queue and rewinds the clock to tick 0, keeping the heap
+  /// Empties the queue and rewinds the clock to tick 0, keeping the event
   /// slab / ring buckets and their lane capacity (trial-arena reuse).
   void clear();
 
   /// Earliest (at, pri, seq) pending event's timestamp. Queue must be
-  /// non-empty.
-  SimTime next_at() const;
+  /// non-empty. Non-const: in calendar mode it may advance the ring to the
+  /// next occupied slot, which the following pop() then drains.
+  SimTime next_at();
 
   /// Queues a message delivery at (at, pri). `rec` is the recovery-layer
   /// tag of a tracked send (default: untracked).
@@ -116,8 +129,8 @@ class EventQueue {
   /// in bucket mode). Visited events are invalidated after the call.
   template <typename Visitor>
   void drain_due(SimTime until, Visitor&& visit) {
-    if (mode_ == Mode::kHeap) {
-      while (size_ > 0 && heap_.front().at <= until) {
+    if (mode_ == Mode::kCalendar) {
+      while (size_ > 0 && next_at() <= until) {
         Event ev = pop();
         visit(ev);
       }
@@ -161,14 +174,66 @@ class EventQueue {
 
  private:
   void push(Event&& ev);
-  void heap_sift_up(std::size_t i);
-  void heap_sift_down(std::size_t i);
-  static bool before(const Event& x, const Event& y) {
-    if (x.at != y.at) return x.at < y.at;
-    if (x.pri != y.pri) return x.pri < y.pri;
-    return x.seq < y.seq;
-  }
 
+  // ----- kCalendar ----------------------------------------------------------
+  /// Slot width is 1/kSlotsPerUnit time units; the ring spans
+  /// kRingSlots / kSlotsPerUnit = 16 units, past the one-unit delay bound,
+  /// jitter and all but the longest recovery backoff.
+  static constexpr std::uint32_t kSlotsPerUnit = 64;
+  static constexpr std::uint32_t kRingSlots = 1024;
+  static constexpr std::uint32_t kChunkEvents = 64;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// Sort key of one slab event: (at, pri << 56 | seq), plus its index.
+  struct Key {
+    SimTime at;
+    std::uint64_t tie;
+    std::uint32_t idx;
+  };
+  // Closure objects rather than functions, so std::sort and the heap
+  // algorithms inline the comparison instead of calling through a pointer.
+  static constexpr auto key_before = [](const Key& x, const Key& y) {
+    return x.at < y.at || (x.at == y.at && x.tie < y.tie);
+  };
+  static constexpr auto key_after = [](const Key& x, const Key& y) {
+    return key_before(y, x);
+  };
+
+  Event& slab(std::uint32_t idx) {
+    return chunks_[idx / kChunkEvents][idx % kChunkEvents];
+  }
+  std::uint32_t slab_alloc();
+  /// `at` in slot units from the ring's origin. Monotone in `at`, so slots
+  /// never reorder events; place() and advance() must agree on it exactly.
+  double slot_time(SimTime at) const { return (at - origin_) * kSlotsPerUnit; }
+  /// Files a slab event under its slot: the drained slot's sorted keys, a
+  /// ring slot's list, or the overflow heap.
+  void place(const Key& key);
+  /// Moves on to the next occupied slot (or, with the ring empty, rebases
+  /// the ring on the overflow's earliest event) and sorts its keys.
+  void advance();
+
+  /// Events by value, kChunkEvents per chunk, so growth never moves them.
+  /// Chunks are small (6.5 KB), so a short-lived queue (one engine per
+  /// run) constructs about as many events as it ever holds.
+  std::vector<std::unique_ptr<Event[]>> chunks_;
+  /// Per slab index: next event in its slot list, or in the free list.
+  std::vector<std::uint32_t> link_;
+  std::uint32_t slab_top_ = 0;  ///< indices below it have been handed out.
+  std::uint32_t free_head_ = kNil;
+  /// The ring holds absolute slots (cur_, cur_ + kRingSlots), slot k covering
+  /// times [origin_ + k / kSlotsPerUnit, origin_ + (k + 1) / kSlotsPerUnit).
+  /// Slot cur_ itself lives in keys_, sorted, and drains from pos_.
+  std::array<std::uint32_t, kRingSlots> heads_;
+  std::array<std::uint64_t, kRingSlots / 64> occupied_{};
+  std::uint64_t cur_ = 0;
+  SimTime origin_ = 0;
+  std::vector<Key> keys_;
+  std::size_t pos_ = 0;
+  /// Min-heap (by key_after) of events at or past the ring's end.
+  std::vector<Key> overflow_;
+
+  // ----- kBuckets -----------------------------------------------------------
   /// One integral timestamp's pending events, one lane per priority class.
   struct Bucket {
     std::array<std::vector<Event>, kNumPriorities> lanes;
@@ -183,9 +248,6 @@ class EventQueue {
   std::size_t size_ = 0;
   std::size_t peak_size_ = 0;
   std::uint64_t next_seq_ = 0;
-
-  // kHeap state: implicit 4-ary min-heap over one slab.
-  std::vector<Event> heap_;
 
   // kBuckets state: power-of-two ring of buckets covering ticks
   // [base_tick_, base_tick_ + ring_.size()); head_ indexes base_tick_'s slot.

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -107,13 +109,13 @@ TEST(MessageKindTest, NamesAreUniqueAndNonEmpty) {
 
 // ----- EventQueue ------------------------------------------------------------
 // Both storage modes must produce the same (at, pri, seq) delivery order;
-// every ordering test runs against the heap and the calendar buckets.
+// every ordering test runs against the calendar ring and the round buckets.
 
 class EventQueueModes
     : public ::testing::TestWithParam<EventQueue::Mode> {};
 
 INSTANTIATE_TEST_SUITE_P(Modes, EventQueueModes,
-                         ::testing::Values(EventQueue::Mode::kHeap,
+                         ::testing::Values(EventQueue::Mode::kCalendar,
                                            EventQueue::Mode::kBuckets));
 
 TEST_P(EventQueueModes, FifoAmongEqualTimestamps) {
@@ -202,6 +204,86 @@ TEST_P(EventQueueModes, RandomizedOrderMatchesStableSort) {
     EXPECT_EQ(ev.env.src, expected.idx);
     EXPECT_EQ(ev.at, expected.at);
   }
+}
+
+/// The calendar ring against a reference (at, pri, seq) model, on the async
+/// engine's access pattern: continuous timestamps with push and pop
+/// interleaved. The push mix covers the slot being drained (now + 1e-9),
+/// exact ties with the previous push (which, once time has moved on, lands
+/// before the last pop), jitter, timers past the ring's 16-unit span (+64)
+/// and near a 10^4 horizon, and a clear() followed by reuse. The pending set
+/// is held at 20..300 events, so time runs ~100 units per half and the +64
+/// timers come due while the ring is busy (the overflow's migration path);
+/// the final drain empties the ring under the far timers (the rebase path).
+TEST(EventQueueCalendarTest, InterleavedContinuousOrderMatchesReference) {
+  using Ref = std::tuple<SimTime, std::uint32_t, std::uint64_t>;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    EventQueue q(EventQueue::Mode::kCalendar);
+    std::set<Ref> ref;
+    std::uint64_t seq = 0;
+    SimTime now = 0;
+    SimTime last_at = 0;
+    Rng rng(seed);
+    auto pop_and_check = [&] {
+      ASSERT_FALSE(ref.empty());
+      const Ref expected = *ref.begin();
+      ref.erase(ref.begin());
+      ASSERT_EQ(q.next_at(), std::get<0>(expected));
+      const EventQueue::Event ev = q.pop();
+      ASSERT_EQ(ev.at, std::get<0>(expected));
+      ASSERT_EQ(ev.pri, std::get<1>(expected));
+      ASSERT_EQ(ev.seq, std::get<2>(expected));
+      ASSERT_EQ(ev.timer_token, std::get<2>(expected));  // payload intact
+      now = ev.at;
+    };
+    for (int op = 0; op < 40000; ++op) {
+      if (op == 20000) {  // clear() mid-run, then reuse from time 0
+        q.clear();
+        ref.clear();
+        seq = 0;
+        now = last_at = 0;
+      }
+      if (ref.size() > 300 || (ref.size() >= 20 && rng.chance(0.5))) {
+        pop_and_check();
+        continue;
+      }
+      SimTime at;
+      const double kind = rng.uniform();
+      if (kind < 0.15) {
+        at = now + 1e-9;  // lands in the slot being drained
+      } else if (kind < 0.30) {
+        at = last_at;  // exact tie with the previous push
+      } else if (kind < 0.34) {
+        at = now + 64.0 + rng.uniform();  // past the ring's span
+      } else if (kind < 0.36) {
+        at = 1e4 - rng.uniform();  // near the horizon
+      } else if (kind < 0.46) {
+        at = now + 2.0 * rng.uniform();  // jitter
+      } else {
+        at = now + rng.uniform_positive();  // a normalized delay
+      }
+      const auto pri = static_cast<std::uint32_t>(rng.node(3));
+      q.push_timer(at, pri, /*node=*/0, /*token=*/seq);
+      ref.emplace(at, pri, seq++);
+      last_at = at;
+    }
+    while (!ref.empty()) pop_and_check();
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+/// Slot indices are computed from `at`, so a non-finite time is refused
+/// up front and leaves the queue as it was.
+TEST(EventQueueCalendarTest, RejectsNonFiniteTimes) {
+  EventQueue q(EventQueue::Mode::kCalendar);
+  EXPECT_THROW(q.push_timer(std::numeric_limits<double>::infinity(), 0, 0, 0),
+               InvariantError);
+  EXPECT_THROW(q.push_timer(std::numeric_limits<double>::quiet_NaN(), 0, 0, 0),
+               InvariantError);
+  EXPECT_TRUE(q.empty());
+  q.push_timer(1e300, 0, 0, 7);  // far but finite: the overflow's rebase
+  EXPECT_EQ(q.next_at(), 1e300);
+  EXPECT_EQ(q.pop().timer_token, 7u);
 }
 
 }  // namespace

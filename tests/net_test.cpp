@@ -698,8 +698,8 @@ TEST(EventQueueTest, DrainDueMatchesPopDueInBucketMode) {
   check_drain_matches_pop(EventQueue::Mode::kBuckets);
 }
 
-TEST(EventQueueTest, DrainDueMatchesPopDueInHeapMode) {
-  check_drain_matches_pop(EventQueue::Mode::kHeap);
+TEST(EventQueueTest, DrainDueMatchesPopDueInCalendarMode) {
+  check_drain_matches_pop(EventQueue::Mode::kCalendar);
 }
 
 TEST(EventQueueTest, PeakSizeTracksHighWater) {
