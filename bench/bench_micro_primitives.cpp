@@ -234,16 +234,19 @@ void BM_SyncEngineDelivery(benchmark::State& state) {
 BENCHMARK(BM_SyncEngineDelivery);
 
 /// Same shape under the asynchronous engine: EventQueue push/pop plus the
-/// per-message delay draw dominate.
+/// per-message delay draw dominate. One engine is reset per iteration, as
+/// the trial arenas do, so the event slab is warm and only delivery is
+/// timed.
 void BM_AsyncEngineDelivery(benchmark::State& state) {
   const sim::Wire wire = bench_wire();
+  sim::AsyncConfig cfg;
+  cfg.n = 2;
+  cfg.max_time = 500.0;
+  sim::AsyncEngine engine(cfg);
   std::uint64_t deliveries = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    sim::AsyncConfig cfg;
-    cfg.n = 2;
-    cfg.max_time = 500.0;
-    sim::AsyncEngine engine(cfg);
+    engine.reset(cfg);
     engine.set_wire(&wire);
     engine.set_actor(0, std::make_unique<Bouncer>());
     engine.set_actor(1, std::make_unique<Bouncer>());

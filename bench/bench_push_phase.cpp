@@ -22,53 +22,28 @@ namespace {
 
 using namespace fba;
 
-/// Runs only the diffusion and harvests the candidate-list shape directly
-/// from the actors (the full-run report sections never get filled because
-/// the engine stops after round 1). Runs through the worker's TrialArena:
-/// world, engine and actor storage are reused across the sweep's trials.
+/// Runs only the diffusion: with max_rounds = 1, pushes sent at round 0
+/// are counted during round 1 and everything later is culled. Runs through
+/// the worker's TrialArena: world, engine and actor storage are reused
+/// across the sweep's trials.
 void run_push_trial(const aer::AerConfig& base_cfg,
                     const exp::GridPoint& point, exp::TrialArena& arena,
                     exp::TrialOutcome& out) {
   aer::AerConfig cfg = base_cfg;
   cfg.max_rounds = 1;
-
   aer::build_aer_world_into(arena.world, cfg);
-  aer::AerWorld& world = arena.world;
-  const std::size_t n = cfg.n;
-
-  sim::SyncConfig ec;
-  ec.n = n;
-  ec.seed = cfg.seed;
-  ec.max_rounds = 1;
-  if (arena.run.sync.has_value()) arena.run.sync->reset(ec);
-  else arena.run.sync.emplace(ec);
-  sim::SyncEngine& engine = *arena.run.sync;
-  engine.set_wire(&world.shared->wire());
-  engine.set_corrupt(world.view.corrupt);
-  arena.run.wire_actors(engine, world);
-  std::unique_ptr<adv::Strategy> strategy;
-  const aer::StrategyFactory factory = exp::attack_factory(point.strategy);
-  if (factory) strategy = factory(world.view);
-  engine.set_strategy(strategy.get());
-  engine.run([] { return false; });
+  const aer::AerReport report = aer::run_aer_world_soa(
+      arena.world, arena.run, {}, exp::attack_factory(point.strategy));
 
   out = exp::TrialOutcome{};
-  out.correct = world.correct.size();
-  out.push_bits_per_node =
-      double(engine.metrics().bits_of(sim::MessageKind::kPush)) / double(n);
+  out.correct = report.correct_count;
+  out.push_bits_per_node = report.push_bits_per_node;
   out.push_msgs_per_node =
-      double(engine.metrics().messages_of(sim::MessageKind::kPush)) /
-      double(n);
-  std::size_t sum_lists = 0;
-  for (aer::AerNode* node : arena.run.active) {
-    if (node == nullptr) continue;
-    sum_lists += node->candidate_list().size();
-    out.max_candidate_list =
-        std::max(out.max_candidate_list, node->candidate_list().size());
-    if (!node->has_candidate(world.shared->gstring)) ++out.missing_gstring;
-  }
+      double(report.msgs_of(sim::MessageKind::kPush)) / double(cfg.n);
+  out.max_candidate_list = report.max_candidate_list;
+  out.missing_gstring = report.nodes_missing_gstring;
   out.candidate_lists_per_node =
-      double(sum_lists) / double(world.correct.size());
+      double(report.sum_candidate_lists) / double(report.correct_count);
 }
 
 }  // namespace

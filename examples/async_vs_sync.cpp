@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
          r.agreement ? "yes" : "NO"});
   }
 
-  std::printf("the same AerNode implementation under every timing model"
+  std::printf("the same AER actor under every timing model"
               " (n=%zu):\n\n", n);
   table.print(std::cout);
   std::printf("\nsync times are rounds; async times are normalized so the"

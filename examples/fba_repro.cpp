@@ -298,10 +298,10 @@ std::size_t scale_trials(std::size_t trials, std::size_t n) {
 }
 
 /// In-trial round progress for the minutes-long scale points: with one
-/// trial per point, per-trial sweep progress is too coarse, so the SoA
+/// trial per point, per-trial sweep progress is too coarse, so the AER
 /// runner reports (round just finished, events still pending) after every
 /// simulated round. Gated and throttled exactly like exp::stderr_progress.
-exp::ScaleTrialOptions::RoundProgress scale_round_progress(
+std::function<void(Round, std::size_t)> scale_round_progress(
     const std::string& label) {
   const bool tty = isatty(fileno(stderr)) != 0;
   const char* env = std::getenv("FBA_PROGRESS");
@@ -359,23 +359,23 @@ exp::Report run_fig3_scale(const Options& opt, std::size_t trials) {
   for (const exp::GridPoint& p : points) total += scale_trials(trials, p.n);
 
   // Serial manual loop instead of exp::Sweep: the per-point trial caps are
-  // non-uniform, and one ScaleArena (reused across all trials) bounds the
+  // non-uniform, and one TrialArena (reused across all trials) bounds the
   // figure's memory to the largest point. Seeds derive exactly as Sweep's
   // (trial_seed over point.index/trial), so results match any runner that
   // executes the same (point, trial) set.
-  exp::ScaleArena arena;
+  exp::TrialArena arena;
   const exp::Sweep::Progress trial_progress = progress("fig3-scale");
   std::size_t completed = 0;
   for (const exp::GridPoint& point : points) {
     const std::size_t point_trials = scale_trials(trials, point.n);
     std::vector<exp::TrialOutcome> outcomes(point_trials);
-    exp::ScaleTrialOptions trial_opts;
+    aer::SoaRunOptions trial_opts;
     trial_opts.round_progress =
         scale_round_progress("fig3-scale " + point.label());
     for (std::size_t t = 0; t < point_trials; ++t) {
       aer::AerConfig cfg = point.apply(base);
       cfg.seed = exp::trial_seed(opt.seed, point.index, t);
-      exp::run_aer_scale_trial(cfg, point, arena, outcomes[t], trial_opts);
+      exp::run_aer_trial(cfg, point, arena, outcomes[t], trial_opts);
       outcomes[t].seed = cfg.seed;
       if (trial_progress) trial_progress(++completed, total);
     }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "aer/runner.h"
+#include "aer/soa.h"
 #include "support/table.h"
 
 namespace fba::aer {
@@ -209,145 +209,15 @@ void fill_outcome_and_traffic(AerReport& report, const AerWorld& world,
           : 0;
 }
 
-namespace {
-
-/// AER-specific report sections (candidate lists, deferred-answer peaks).
-/// Walks world.correct (not the dense actor table) so nodes flipped by a
-/// runtime corruption drop out of the harvest, matching the SoA path —
-/// identical to the old whole-table walk for static runs, where `correct`
-/// and the non-null entries of `nodes` coincide.
-void fill_aer_specific(AerReport& report, const AerWorld& world,
-                       const std::vector<AerNode*>& nodes) {
-  const AerShared& shared = *world.shared;
-  for (NodeId id : world.correct) {
-    AerNode* node = nodes[id];
-    if (node == nullptr) continue;
-    report.sum_candidate_lists += node->candidate_list().size();
-    report.max_candidate_list =
-        std::max(report.max_candidate_list, node->candidate_list().size());
-    if (!node->has_candidate(shared.gstring)) ++report.nodes_missing_gstring;
-    report.max_deferred_answers =
-        std::max(report.max_deferred_answers, node->deferred_peak());
-  }
-}
-
-}  // namespace
-
 AerReport run_aer(const AerConfig& config, const StrategyFactory& make_strategy,
                   const CorruptPicker& pick_corrupt) {
   AerWorld world = build_aer_world(config, pick_corrupt);
-  // World-owning variant of run_aer_world: the whole run — world included —
-  // is self-contained, so concurrent run_aer calls (the experiment runner's
-  // trials) share nothing. Captures are by value because the world moves.
-  AerShared* shared = world.shared.get();
-  const std::vector<StringId> initial = world.view.initial;
-  auto nodes =
-      std::make_shared<std::vector<AerNode*>>(config.n, nullptr);
-  return run_world_protocol(
-      std::move(world),
-      [shared, initial, nodes](NodeId id) {
-        auto actor = std::make_unique<AerNode>(shared, id, initial[id]);
-        (*nodes)[id] = actor.get();
-        return actor;
-      },
-      make_strategy,
-      [nodes](AerReport& report, AerWorld& owned) {
-        fill_aer_specific(report, owned, *nodes);
-      });
-}
-
-AerReport run_aer_world_arena(AerWorld& world, RunArena& arena,
-                              const StrategyFactory& make_strategy) {
-  // Mirrors run_world_protocol step for step (order included — the golden
-  // fingerprints pin it), substituting engine reset and pooled actors for
-  // fresh construction.
-  const AerConfig& config = world.shared->config;
-  world.decisions.reset(config.n);
-
-  AerReport report;
-  report.n = config.n;
-  report.t = world.view.corrupt.size();
-  report.d = config.resolved_d();
-  report.model = config.model;
-
-  std::unique_ptr<adv::Strategy> strategy;
-  if (make_strategy) strategy = make_strategy(world.view);
-
-  std::size_t decided = 0;
-  std::size_t target = world.correct.size();
-  auto on_decide = [&world, &decided](NodeId node, StringId value,
-                                      double time) {
-    if (!world.decisions.has_decided(node)) ++decided;
-    world.decisions.record(node, value, time);
-  };
-  auto done = [&] { return decided >= target; };
-  auto on_corrupt = [&world, &target](NodeId node, double /*time*/) {
-    if (note_runtime_corruption(world, node)) --target;
-  };
-
-  auto wire_nodes = [&](auto& engine) {
-    engine.set_wire(&world.shared->wire());
-    engine.set_fault_plan(&config.fault_plan);
-    engine.set_recovery_plan(&config.recovery_plan);
-    engine.set_corrupt(world.view.corrupt);
-    arena.wire_actors(engine, world);
-    engine.set_strategy(strategy.get());
-    engine.set_decision_callback(on_decide);
-    engine.set_corruption_budget(config.adaptive_budget);
-    engine.set_corruption_callback(on_corrupt);
-  };
-  auto harvest_adaptive = [&report](auto& engine) {
-    report.runtime_corruptions = engine.corruptions_spent();
-    report.first_corruption_time = engine.first_corruption_time();
-    report.last_corruption_time = engine.last_corruption_time();
-  };
-
-  if (config.model == Model::kAsync) {
-    sim::AsyncConfig ec;
-    ec.n = config.n;
-    ec.seed = config.seed;
-    ec.max_time = config.max_time;
-    if (arena.async.has_value()) arena.async->reset(ec);
-    else arena.async.emplace(ec);
-    sim::AsyncEngine& engine = *arena.async;
-    wire_nodes(engine);
-    const auto result = engine.run(done);
-    report.engine_time = result.time;
-    report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
-  } else {
-    sim::SyncConfig ec;
-    ec.n = config.n;
-    ec.seed = config.seed;
-    ec.rushing_adversary = config.model == Model::kSyncRushing;
-    ec.max_rounds = config.max_rounds;
-    if (arena.sync.has_value()) arena.sync->reset(ec);
-    else arena.sync.emplace(ec);
-    sim::SyncEngine& engine = *arena.sync;
-    wire_nodes(engine);
-    const auto result = engine.run(done);
-    report.engine_time = static_cast<double>(result.rounds);
-    report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
-  }
-  fill_aer_specific(report, world, arena.active);
-  return report;
+  return run_aer_world(world, make_strategy);
 }
 
 AerReport run_aer_world(AerWorld& world, const StrategyFactory& make_strategy) {
-  std::vector<AerNode*> nodes(world.shared->config.n, nullptr);
-  auto make_actor = [&world, &nodes](NodeId id) {
-    auto actor = std::make_unique<AerNode>(world.shared.get(), id,
-                                           world.view.initial[id]);
-    nodes[id] = actor.get();
-    return actor;
-  };
-  auto post_run = [&world, &nodes](AerReport& report) {
-    fill_aer_specific(report, world, nodes);
-  };
-  return run_world_protocol(world, make_actor, make_strategy, post_run);
+  SoaArena arena;
+  return run_aer_world_soa(world, arena, {}, make_strategy);
 }
 
 std::vector<std::string> report_header() {

@@ -10,7 +10,6 @@
 
 #include "adversary/adversary.h"
 #include "aer/config.h"
-#include "aer/node.h"
 #include "support/metrics.h"
 
 namespace fba::aer {
@@ -149,8 +148,8 @@ struct AerReport {
   double first_corruption_time = 0;
   double last_corruption_time = 0;
 
-  // Memory (filled by the SoA scale runner only; 0 on the pointer path).
-  // A deterministic logical account of the trial's working set — actor
+  // Memory (filled by the AER runner; 0 for the baseline protocols). A
+  // deterministic logical account of the trial's working set — actor
   // state, event-core high-water mark, sampler tables, metrics — NOT a
   // measured RSS (support/mem.h documents the accounting contract).
   std::uint64_t mem_bytes = 0;
@@ -162,7 +161,9 @@ AerReport run_aer(const AerConfig& config,
                   const CorruptPicker& pick_corrupt = {});
 
 /// Runs AER on a prebuilt (possibly externally mutated) world; used by the
-/// BA composition where the AE phase dictates initial candidates.
+/// BA composition where the AE phase dictates initial candidates. Engines
+/// and actor state are built for this one run (aer/soa.h's
+/// run_aer_world_soa is the reusable-arena form).
 AerReport run_aer_world(AerWorld& world, const StrategyFactory& make_strategy = {});
 
 /// Harness bookkeeping for one runtime corruption (the engines'
@@ -170,8 +171,7 @@ AerReport run_aer_world(AerWorld& world, const StrategyFactory& make_strategy = 
 /// had not yet decided it leaves world.correct (it can never decide, so the
 /// all-decided stop must not wait for it) and the call returns true — the
 /// caller shrinks its decision target by one. A victim that already decided
-/// stays in world.correct: its decision stands. Shared by the pointer-path
-/// and SoA runners so both account corruption identically.
+/// stays in world.correct: its decision stands.
 bool note_runtime_corruption(AerWorld& world, NodeId node);
 
 /// Fills the outcome (decisions vs gstring) and traffic sections of a

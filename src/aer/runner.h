@@ -5,10 +5,8 @@
 // sections of the report; protocol-specific sections are the caller's.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "aer/protocol.h"
 #include "net/async_engine.h"
@@ -16,57 +14,23 @@
 
 namespace fba::aer {
 
-/// Reusable run machinery for back-to-back trials (the trial-arena path):
-/// one engine of each flavor, reset per trial instead of reconstructed, and
-/// a pool of AerNode actors whose container storage survives across trials.
-/// A warm arena executes a whole trial without heap allocation; results are
-/// bit-identical to the fresh-construction path (reset() replicates
-/// construction semantics — golden_test and exp_test enforce it).
-struct RunArena {
+/// One engine of each flavor. run_world resets the one a run needs instead
+/// of reconstructing it (reset() replicates construction semantics), so
+/// slots reused across trials keep their storage.
+struct EngineSlots {
   std::optional<sim::SyncEngine> sync;
   std::optional<sim::AsyncEngine> async;
-  std::vector<std::unique_ptr<AerNode>> node_pool;
-  /// Per-trial dispatch view: active[id] is the pooled actor of correct
-  /// node id (nullptr for corrupt ids), valid until the next trial.
-  std::vector<AerNode*> active;
-
-  /// Resets `count` pooled nodes for a fresh trial and registers them with
-  /// `engine` (non-owning) for every correct node; fills `active`.
-  template <typename Engine>
-  void wire_actors(Engine& engine, const AerWorld& world) {
-    const std::size_t n = world.shared->config.n;
-    active.assign(n, nullptr);
-    std::size_t used = 0;
-    for (NodeId id = 0; id < n; ++id) {
-      if (engine.is_corrupt(id)) continue;
-      if (used == node_pool.size()) {
-        node_pool.push_back(std::make_unique<AerNode>(
-            world.shared.get(), id, world.view.initial[id]));
-      } else {
-        node_pool[used]->reset(world.shared.get(), id,
-                               world.view.initial[id]);
-      }
-      AerNode* node = node_pool[used++].get();
-      active[id] = node;
-      engine.set_actor(id, static_cast<sim::Actor*>(node));
-    }
-  }
 };
 
-/// Runs AER on a prebuilt world through `arena` (engines reset in place,
-/// pooled actors). Behavior-identical to run_aer_world.
-AerReport run_aer_world_arena(AerWorld& world, RunArena& arena,
-                              const StrategyFactory& make_strategy = {});
-
-/// ActorFactory: NodeId -> std::unique_ptr<sim::Actor> (correct nodes only).
-/// `post_run`, if given, runs after the report's common sections are filled
-/// but while the engine (and thus the actors) is still alive — use it to
-/// harvest protocol-specific actor state.
-template <typename ActorFactory>
-AerReport run_world_protocol(
-    AerWorld& world, ActorFactory&& make_actor,
-    const StrategyFactory& make_strategy = {},
-    const std::function<void(AerReport&)>& post_run = {}) {
+/// Runs one execution on `world` through `engines`. `install(engine,
+/// strategy)` registers an actor for every correct node (the corrupt set is
+/// already installed) and may configure the engine further; `harvest(report,
+/// engine)` runs once the common report sections are filled, while the
+/// actors are still alive.
+template <typename Install, typename Harvest>
+AerReport run_world(AerWorld& world, EngineSlots& engines,
+                    const StrategyFactory& make_strategy, Install&& install,
+                    Harvest&& harvest) {
   const AerConfig& config = world.shared->config;
   world.decisions.reset(config.n);
 
@@ -91,24 +55,21 @@ AerReport run_world_protocol(
     if (note_runtime_corruption(world, node)) --target;
   };
 
-  auto wire_nodes = [&](auto& engine) {
+  auto run = [&](auto& engine) {
     engine.set_wire(&world.shared->wire());
     engine.set_fault_plan(&config.fault_plan);
     engine.set_recovery_plan(&config.recovery_plan);
     engine.set_corrupt(world.view.corrupt);
-    for (NodeId id = 0; id < config.n; ++id) {
-      if (engine.is_corrupt(id)) continue;
-      engine.set_actor(id, make_actor(static_cast<NodeId>(id)));
-    }
+    install(engine, strategy.get());
     engine.set_strategy(strategy.get());
     engine.set_decision_callback(on_decide);
     engine.set_corruption_budget(config.adaptive_budget);
     engine.set_corruption_callback(on_corrupt);
-  };
-  auto harvest_adaptive = [&report](auto& engine) {
+    const auto result = engine.run(done);
     report.runtime_corruptions = engine.corruptions_spent();
     report.first_corruption_time = engine.first_corruption_time();
     report.last_corruption_time = engine.last_corruption_time();
+    return result;
   };
 
   if (config.model == Model::kAsync) {
@@ -116,52 +77,45 @@ AerReport run_world_protocol(
     ec.n = config.n;
     ec.seed = config.seed;
     ec.max_time = config.max_time;
-    sim::AsyncEngine engine(ec);
-    wire_nodes(engine);
-    const auto result = engine.run(done);
+    if (engines.async.has_value()) engines.async->reset(ec);
+    else engines.async.emplace(ec);
+    const sim::AsyncResult result = run(*engines.async);
     report.engine_time = result.time;
     report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
-    if (post_run) post_run(report);
+    fill_outcome_and_traffic(report, world, engines.async->metrics());
+    harvest(report, *engines.async);
   } else {
     sim::SyncConfig ec;
     ec.n = config.n;
     ec.seed = config.seed;
     ec.rushing_adversary = config.model == Model::kSyncRushing;
     ec.max_rounds = config.max_rounds;
-    sim::SyncEngine engine(ec);
-    wire_nodes(engine);
-    const auto result = engine.run(done);
+    if (engines.sync.has_value()) engines.sync->reset(ec);
+    else engines.sync.emplace(ec);
+    const sim::SyncResult result = run(*engines.sync);
     report.engine_time = static_cast<double>(result.rounds);
     report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
-    if (post_run) post_run(report);
+    fill_outcome_and_traffic(report, world, engines.sync->metrics());
+    harvest(report, *engines.sync);
   }
   return report;
 }
 
-/// World-owning overload: takes the world by rvalue and keeps it alive for
-/// the duration of the run, so a trial can be packaged as a single
-/// self-contained callable and shipped to a worker thread (the experiment
-/// runner's pattern — nothing outside the call needs to outlive the world).
-/// `post_run` additionally receives the world, since the caller's copy has
-/// been moved from.
+/// run_world on fresh engines, with one actor per correct node from
+/// `make_actor`: NodeId -> std::unique_ptr<sim::Actor>. The baseline AE->E
+/// protocols run through it.
 template <typename ActorFactory>
-AerReport run_world_protocol(
-    AerWorld&& world, ActorFactory&& make_actor,
-    const StrategyFactory& make_strategy = {},
-    const std::function<void(AerReport&, AerWorld&)>& post_run = {}) {
-  AerWorld owned = std::move(world);
-  std::function<void(AerReport&)> harvest;
-  if (post_run) {
-    harvest = [&post_run, &owned](AerReport& report) {
-      post_run(report, owned);
-    };
-  }
-  return run_world_protocol(owned, std::forward<ActorFactory>(make_actor),
-                            make_strategy, harvest);
+AerReport run_world_protocol(AerWorld& world, ActorFactory&& make_actor,
+                             const StrategyFactory& make_strategy = {}) {
+  EngineSlots engines;
+  return run_world(
+      world, engines, make_strategy,
+      [&](auto& engine, const adv::Strategy* /*strategy*/) {
+        for (NodeId id = 0; id < world.shared->config.n; ++id) {
+          if (!engine.is_corrupt(id)) engine.set_actor(id, make_actor(id));
+        }
+      },
+      [](AerReport& /*report*/, const auto& /*engine*/) {});
 }
 
 }  // namespace fba::aer

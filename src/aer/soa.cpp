@@ -1,16 +1,15 @@
 #include "aer/soa.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "aer/messages.h"
-#include "aer/runner.h"
 
 namespace fba::aer {
 
-// Every handler below is a line-for-line port of aer/node.cpp with the
-// node's identity (`self`) explicit and each per-node container replaced by
-// its SoA equivalent. Any behavioral edit here must be mirrored there (and
-// vice versa); tests/scale_test.cpp pins the equivalence.
+// The send loops iterate each quorum's precomputed first-seen-order distinct
+// member list (duplicate slots get one message; thresholds still count
+// slots) straight out of the dense sampler tables.
 
 void SoaAerState::reset(const AerShared* shared,
                         const std::vector<StringId>& initial,
@@ -32,23 +31,34 @@ void SoaAerState::reset(const AerShared* shared,
   my_pulls_.clear();
   answer_counts_.clear();
 
-  if (forwarded_.size() < n_) forwarded_.resize(n_);
-  for (std::size_t id = 0; id < n_; ++id) forwarded_[id].clear();
-
-  // The retained maps are reconstructed, not cleared, for the same reason
-  // AerNode::reset reconstructs them: iteration order must match a freshly
-  // built node's (bucket-growth history included).
-  pending_pulls_.assign(n_, {});
-  fw1_tallies_.assign(n_, {});
-  responder_.assign(n_, {});
-  deferred_.assign(n_, {});
+  if (forwarded_.size() < n_) {
+    const support::PoolAllocator<char> alloc(&pool_);
+    forwarded_.resize(n_);
+    deferred_.resize(n_);
+    pending_pulls_.resize(n_, PendingMap(alloc));
+    fw1_tallies_.resize(n_, Fw1Tallies(alloc));
+    responder_.resize(n_, ResponderMap(alloc));
+  }
+  // Every slot, not just the first n_: slots a larger earlier trial used
+  // hand their pooled nodes back too.
+  for (std::size_t id = 0; id < forwarded_.size(); ++id) {
+    forwarded_[id].clear();
+    deferred_[id].clear();
+    // The retained maps are rebuilt, not cleared: a cleared unordered_map
+    // keeps its grown bucket array, which would give this trial a different
+    // bucket-growth (and thus iteration) history than a new map. Assigning
+    // an empty map returns the old nodes and buckets to the pool.
+    pending_pulls_[id] = PendingMap(pending_pulls_[id].get_allocator());
+    fw1_tallies_[id] = Fw1Tallies(fw1_tallies_[id].get_allocator());
+    responder_[id] = ResponderMap(responder_[id].get_allocator());
+  }
 
   counted_arena_.clear();
 
   for (NodeId id = 0; id < n_; ++id) {
     if (engine.is_corrupt(id)) continue;
     engine.set_actor(id, static_cast<sim::Actor*>(this));
-    // AerNode construction: L_x starts as {s_x}.
+    // L_x starts as {s_x}.
     candidate_count_[id] = 1;
     in_list_.insert(pack_ns(id, initial_[id]));
   }
@@ -305,7 +315,8 @@ void SoaAerState::handle_fw1(sim::Context& ctx, NodeId self, NodeId from,
   if (mult == 0) return;  // y in H(s, x)
   if (!shared_->poll_list(m.a, m.r).contains(m.b)) return;  // w in J(x,r)
 
-  const auto outer = fw1_tallies_[self].try_emplace(pack_xs(m.a, m.s));
+  const auto outer = fw1_tallies_[self].try_emplace(
+      pack_xs(m.a, m.s), fw1_tallies_[self].get_allocator());
   const auto inner = outer.first->second.try_emplace(m.b);
   Fw1Tally& tally = inner.first->second;
   if (inner.second) tally.counted_off = new_counted_span();
@@ -376,12 +387,14 @@ void SoaAerState::emit_answer(sim::Context& ctx, NodeId self, NodeId x,
 
 namespace {
 
-/// Deterministic size model for a libstdc++ unordered_map: one allocated
-/// node per entry (next pointer + value; integral keys cache no hash) plus
-/// the bucket array. Both entry count and bucket count are pure functions
-/// of the insertion history, so warm trials report identical bytes.
-template <typename K, typename V>
-std::uint64_t umap_bytes(const std::unordered_map<K, V>& m) {
+/// Deterministic size model for a libstdc++ unordered_map<K, V>: one
+/// allocated node per entry (next pointer + value; integral keys cache no
+/// hash) plus the bucket array. Both entry count and bucket count are pure
+/// functions of the insertion history, so warm trials report identical
+/// bytes. The model is the std::allocator layout whatever allocator `m`
+/// uses: the account never includes allocator state (support/mem.h).
+template <typename K, typename V, typename Map>
+std::uint64_t umap_bytes(const Map& m) {
   return static_cast<std::uint64_t>(m.size()) *
              (sizeof(void*) + sizeof(std::pair<const K, V>)) +
          static_cast<std::uint64_t>(m.bucket_count()) * sizeof(void*);
@@ -411,19 +424,22 @@ void SoaAerState::charge_mem(support::MemBudget& mem) const {
 
   // Per-node container headers (charged at n_, not at the vectors' possibly
   // larger warm capacity, so cold and warm runs report identical bytes).
+  using Fw1Inner = std::unordered_map<NodeId, Fw1Tally>;
   mem.charge(static_cast<std::uint64_t>(n_) *
-             (sizeof(support::FlatSet64) + sizeof(pending_pulls_[0]) +
-              sizeof(fw1_tallies_[0]) + sizeof(responder_[0]) +
+             (sizeof(support::FlatSet64) +
+              sizeof(std::unordered_map<std::uint64_t, PollLabel>) +
+              sizeof(std::unordered_map<std::uint64_t, Fw1Inner>) +
+              sizeof(std::unordered_map<std::uint64_t, ResponderState>) +
               sizeof(deferred_[0])));
   for (std::size_t id = 0; id < n_; ++id) {
     mem.charge(flat_bytes(forwarded_[id].size(), 1));
-    mem.charge(umap_bytes(pending_pulls_[id]));
-    mem.charge(umap_bytes(responder_[id]));
+    mem.charge(umap_bytes<std::uint64_t, PollLabel>(pending_pulls_[id]));
+    mem.charge(umap_bytes<std::uint64_t, ResponderState>(responder_[id]));
     const auto& outer = fw1_tallies_[id];
-    mem.charge(umap_bytes(outer));
+    mem.charge(umap_bytes<std::uint64_t, Fw1Inner>(outer));
     for (const auto& [key, inner] : outer) {
       (void)key;
-      mem.charge(umap_bytes(inner));
+      mem.charge(umap_bytes<NodeId, Fw1Tally>(inner));
     }
     mem.charge(static_cast<std::uint64_t>(deferred_peak_[id]) *
                sizeof(std::pair<NodeId, StringId>));
@@ -434,10 +450,10 @@ void SoaAerState::charge_mem(support::MemBudget& mem) const {
 
 namespace {
 
-/// AER-specific report sections from the SoA state (the analogue of
-/// protocol.cpp's fill_aer_specific).
-void fill_aer_specific_soa(AerReport& report, const AerWorld& world,
-                           const SoaAerState& state) {
+/// AER-specific report sections (candidate lists, deferred-answer peaks).
+/// Walks world.correct, so nodes flipped by a runtime corruption drop out.
+void fill_aer_specific(AerReport& report, const AerWorld& world,
+                       const SoaAerState& state) {
   const AerShared& shared = *world.shared;
   for (NodeId id : world.correct) {
     report.sum_candidate_lists += state.candidate_list_size(id);
@@ -498,96 +514,31 @@ void charge_trial_mem(support::MemBudget& mem, const AerWorld& world,
 AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
                             const SoaRunOptions& opts,
                             const StrategyFactory& make_strategy) {
-  // Mirrors run_aer_world_arena step for step (order included — the
-  // SoA-vs-pointer fingerprint equality in tests/scale_test.cpp pins it).
+  if (!arena.state.has_value()) arena.state.emplace();
+  SoaAerState& state = *arena.state;
   const AerConfig& config = world.shared->config;
-  world.decisions.reset(config.n);
-
-  AerReport report;
-  report.n = config.n;
-  report.t = world.view.corrupt.size();
-  report.d = config.resolved_d();
-  report.model = config.model;
-
-  std::unique_ptr<adv::Strategy> strategy;
-  if (make_strategy) strategy = make_strategy(world.view);
-
-  std::size_t decided = 0;
-  std::size_t target = world.correct.size();
-  auto on_decide = [&world, &decided](NodeId node, StringId value,
-                                      double time) {
-    if (!world.decisions.has_decided(node)) ++decided;
-    world.decisions.record(node, value, time);
-  };
-  auto done = [&] { return decided >= target; };
-  auto on_corrupt = [&world, &target](NodeId node, double /*time*/) {
-    if (note_runtime_corruption(world, node)) --target;
-  };
-
-  auto wire_nodes = [&](auto& engine) {
-    engine.set_wire(&world.shared->wire());
-    engine.set_fault_plan(&config.fault_plan);
-    engine.set_recovery_plan(&config.recovery_plan);
-    engine.set_corrupt(world.view.corrupt);
-    arena.state.reset(world.shared.get(), world.view.initial, engine);
-    engine.set_strategy(strategy.get());
-    engine.set_decision_callback(on_decide);
-    engine.set_corruption_budget(config.adaptive_budget);
-    engine.set_corruption_callback(on_corrupt);
-  };
-  auto harvest_adaptive = [&report](auto& engine) {
-    report.runtime_corruptions = engine.corruptions_spent();
-    report.first_corruption_time = engine.first_corruption_time();
-    report.last_corruption_time = engine.last_corruption_time();
-  };
-
-  support::MemBudget mem;
-  if (config.model == Model::kAsync) {
-    sim::AsyncConfig ec;
-    ec.n = config.n;
-    ec.seed = config.seed;
-    ec.max_time = config.max_time;
-    if (arena.async.has_value()) arena.async->reset(ec);
-    else arena.async.emplace(ec);
-    sim::AsyncEngine& engine = *arena.async;
-    wire_nodes(engine);
-    const auto result = engine.run(done);
-    report.engine_time = result.time;
-    report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
-    fill_aer_specific_soa(report, world, arena.state);
-    charge_trial_mem(mem, world, arena.state, engine.queue_peak());
-  } else {
-    sim::SyncConfig ec;
-    ec.n = config.n;
-    ec.seed = config.seed;
-    ec.rushing_adversary = config.model == Model::kSyncRushing;
-    ec.max_rounds = config.max_rounds;
-    ec.round_drain = opts.round_drain;
-    if (arena.sync.has_value()) arena.sync->reset(ec);
-    else arena.sync.emplace(ec);
-    sim::SyncEngine& engine = *arena.sync;
-    wire_nodes(engine);
-    // Bursts skip the per-send observe/fault/recovery taps, so they are only
-    // legal when all of them are no-ops.
-    if (opts.bursts && strategy == nullptr && config.fault_plan.empty() &&
-        config.recovery_plan.empty()) {
-      engine.set_burst_source(&arena.state);
-      arena.state.enable_bursts(&engine);
+  const auto install = [&](auto& engine, const adv::Strategy* strategy) {
+    state.reset(world.shared.get(), world.view.initial, engine);
+    if constexpr (std::is_same_v<std::decay_t<decltype(engine)>,
+                                 sim::SyncEngine>) {
+      // Bursts skip the per-send observe/fault/recovery taps, so they are
+      // only legal when all of them are no-ops.
+      if (strategy == nullptr && config.fault_plan.empty() &&
+          config.recovery_plan.empty()) {
+        engine.set_burst_source(&state);
+        state.enable_bursts(&engine);
+      }
+      if (opts.round_progress) engine.set_round_progress(opts.round_progress);
     }
-    if (opts.round_progress) engine.set_round_progress(opts.round_progress);
-    const auto result = engine.run(done);
-    report.engine_time = static_cast<double>(result.rounds);
-    report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
-    fill_aer_specific_soa(report, world, arena.state);
-    charge_trial_mem(mem, world, arena.state, engine.queue_peak());
-  }
-  report.mem_bytes = mem.total_bytes();
-  report.mem_bytes_per_node = mem.bytes_per_node(config.n);
-  return report;
+  };
+  const auto harvest = [&](AerReport& report, const auto& engine) {
+    fill_aer_specific(report, world, state);
+    support::MemBudget mem;
+    charge_trial_mem(mem, world, state, engine.queue_peak());
+    report.mem_bytes = mem.total_bytes();
+    report.mem_bytes_per_node = mem.bytes_per_node(config.n);
+  };
+  return run_world(world, arena, make_strategy, install, harvest);
 }
 
 }  // namespace fba::aer

@@ -1,13 +1,21 @@
-// Structure-of-arrays AER state: the million-node scale path.
+// SoaAerState: the AER actor (Section 3.1, Algorithms 1-3) for every
+// correct node of a run at once, in structure-of-arrays layout.
 //
-// AerNode keeps each participant's protocol state in its own object — per
-// node, a Pool, six hash containers and a handful of vectors. At
-// n = 10^5..10^6 nodes per trial, those per-object fixed costs (allocator
-// pools, container headers, minimum table capacities) dominate memory and
-// thrash the cache: the hot path walks a million scattered objects.
+// Push phase (3.1.1): on start, a node diffuses its initial candidate s_x
+// to the d nodes x' with x in I(s_x, x'). A received Push(s) from y counts
+// toward the quorum I(s, x) only if y occupies a slot of it; when more than
+// half of the slots have pushed s, s joins the candidate list L_x and a
+// pull is started for it. Nodes never react to pushes by sending, so the
+// phase is impervious to flooding.
 //
-// SoaAerState holds the SAME protocol state for all nodes at once, one
-// dense array (or shared open-addressed table) per field:
+// Pull phase (3.1.2): to verify candidate s, x sends Poll(s, r) to its poll
+// list J(x, r) (r fresh per candidate) and Pull(s, r) to its Pull Quorum
+// H(s, x). Quorum members route the request in two majority-filtered hops
+// (Fw1 via H(s, w), then Fw2 to w); poll-list members answer subject to the
+// log^2 n budget, deferring excess work until they have decided. Deciding
+// takes answers from a majority of the poll list.
+//
+// State layout, one dense array (or shared open-addressed table) per field:
 //
 //   - scalar per-node fields (initial / current / decided candidate,
 //     decision flag, candidate-list length, deferred-answer peak) are flat
@@ -17,24 +25,23 @@
 //     (node, string) pair — a single table sized to the run instead of n
 //     minimum-capacity tables;
 //   - credited-sender spans come from one shared bump arena (d entries per
-//     tally, same layout as AerNode's per-node arena);
+//     tally: a tally credits at most d distinct quorum members);
 //   - the three ORDER-CRITICAL retained maps (pending pulls, Fw1 tallies,
-//     responder state) stay per-node std::unordered_map: serve_retained()
-//     iterates them to emit messages and the send order must match the
-//     pointer path bit for bit (libstdc++ iteration order depends only on
-//     the insertion/bucket-growth history, which is identical).
+//     responder state) are per-node std::unordered_maps: serve_retained()
+//     iterates them to emit messages, so their libstdc++ iteration order is
+//     part of the behavior the golden fingerprints pin. It depends only on
+//     the insertion and bucket-growth history, so reset() rebuilds each map
+//     empty (a cleared map would keep its grown bucket array). The maps draw
+//     nodes and buckets from one support::Pool, so a warm trial allocates
+//     nothing.
 //
-// One SoaAerState object is also the single sim::Actor registered for every
+// One SoaAerState object is the single sim::Actor registered for every
 // correct node (handlers key off ctx.self()), and the sim::BurstSource that
-// re-expands Fw1 burst descriptors on the scale path (see
-// EventQueue::push_burst): instead of queueing the d^2 copies of each
-// forwarded request, forward_pull charges their traffic at send time and
-// queues one descriptor; the engine calls expand() at delivery time, which
-// enumerates the same (w, h) pairs in the same order.
-//
-// Handler-for-handler, message-for-message, RNG-draw-for-RNG-draw, the SoA
-// path replicates aer/node.cpp exactly; tests/scale_test.cpp pins
-// fingerprint equality of whole Aggregates against the pointer path.
+// re-expands Fw1 burst descriptors (see EventQueue::push_burst): instead of
+// queueing the d^2 copies of each forwarded request, forward_pull charges
+// their traffic at send time and queues one descriptor; the engine calls
+// expand() at delivery time, which enumerates the same (w, h) pairs in the
+// same order.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +50,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "aer/protocol.h"
-#include "net/async_engine.h"
-#include "net/sync_engine.h"
+#include "aer/runner.h"
 #include "support/flat_map.h"
 #include "support/mem.h"
+#include "support/pool.h"
 
 namespace fba::aer {
 
@@ -57,15 +63,16 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
 
   /// Re-initializes for a fresh trial and registers this object as the
   /// actor of every correct node of `engine` (whose corrupt set must
-  /// already be installed). Dense storage is reused across trials.
+  /// already be installed). Dense storage and the retained maps' pool are
+  /// reused across trials; a reset state behaves exactly like a new one.
   void reset(const AerShared* shared, const std::vector<StringId>& initial,
              sim::EngineBase& engine);
 
   /// Enables Fw1 burst descriptors. Only legal on the synchronous engines
-  /// with no adversary strategy and no fault plan installed (the burst path
-  /// bypasses the per-send observe/fault taps, which must therefore be
-  /// no-ops). `engine` must outlive the run and have this object installed
-  /// as its burst source.
+  /// with no adversary strategy, no fault plan and no recovery plan
+  /// installed (the burst path bypasses the per-send observe/fault/recovery
+  /// taps, which must therefore be no-ops). `engine` must outlive the run
+  /// and have this object installed as its burst source.
   void enable_bursts(sim::SyncEngine* engine) { burst_engine_ = engine; }
 
   // ----- sim::Actor (one object serves every correct node) -----------------
@@ -75,7 +82,7 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
   // ----- sim::BurstSource ---------------------------------------------------
   void expand(const sim::Envelope& burst, sim::SyncEngine& engine) override;
 
-  // ----- post-run introspection (mirrors AerNode's) -------------------------
+  // ----- post-run introspection (read by the harness / tests) ---------------
   bool has_decided(NodeId id) const { return has_decided_[id] != 0; }
   StringId decided_value(NodeId id) const { return decided_[id]; }
   std::size_t candidate_list_size(NodeId id) const {
@@ -96,7 +103,7 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
   void charge_mem(support::MemBudget& mem) const;
 
  private:
-  // -- handlers: faithful ports of AerNode's, with `self` explicit ----------
+  // -- handlers, one per message kind; `self` is ctx.self() ----------------
   void handle_push(sim::Context& ctx, NodeId self, NodeId from,
                    const sim::Message& m);
   void handle_poll(sim::Context& ctx, NodeId self, NodeId from,
@@ -181,44 +188,57 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
     bool polled = false;
     bool answered = false;
   };
-  /// ORDER-CRITICAL retained maps (see aer/node.h): plain unordered_map,
-  /// reconstructed per reset so iteration order matches a fresh AerNode's.
-  std::vector<std::unordered_map<std::uint64_t, PollLabel>> pending_pulls_;
-  std::vector<std::unordered_map<
-      std::uint64_t, std::unordered_map<NodeId, Fw1Tally>>> fw1_tallies_;
-  std::vector<std::unordered_map<std::uint64_t, ResponderState>> responder_;
+  /// Memory pool behind the retained maps. Declared before them so it
+  /// outlives their destructors.
+  support::Pool pool_;
+  /// ORDER-CRITICAL retained maps (see the file comment), all keyed (x, s):
+  /// pull requests for strings a node does not (yet) believe in, served if
+  /// it later decides on that string; Fw1 tallies per poll-list member w;
+  /// responder state.
+  template <typename K, typename V>
+  using RetainedMap =
+      std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
+                         support::PoolAllocator<std::pair<const K, V>>>;
+  using PendingMap = RetainedMap<std::uint64_t, PollLabel>;
+  using Fw1Tallies = RetainedMap<std::uint64_t, RetainedMap<NodeId, Fw1Tally>>;
+  using ResponderMap = RetainedMap<std::uint64_t, ResponderState>;
+  std::vector<PendingMap> pending_pulls_;
+  std::vector<Fw1Tallies> fw1_tallies_;
+  std::vector<ResponderMap> responder_;
 
+  /// Over-budget answers waiting for the node's decision.
   std::vector<std::vector<std::pair<NodeId, StringId>>> deferred_;
 
   std::vector<NodeId> counted_arena_;
   std::vector<NodeId> targets_scratch_;
 };
 
-/// Reusable engines + state for back-to-back SoA trials (mirrors RunArena).
-struct SoaArena {
-  std::optional<sim::SyncEngine> sync;
-  std::optional<sim::AsyncEngine> async;
-  SoaAerState state;
+/// Reusable run machinery for back-to-back trials: the engines and the
+/// actor state. A warm arena executes a whole trial without heap
+/// allocation, and a trial's result never depends on what the arena ran
+/// before. The state sits in an optional so clear() can drop its pool.
+struct SoaArena : EngineSlots {
+  std::optional<SoaAerState> state;
+
+  /// Discards every engine, table and pool: the next trial starts from
+  /// nothing, like a first-ever trial.
+  void clear() {
+    sync.reset();
+    async.reset();
+    state.reset();
+  }
 };
 
 struct SoaRunOptions {
-  /// Drain sync rounds in place (EventQueue::drain_due) instead of copying
-  /// them into the per-round scratch vector.
-  bool round_drain = true;
-  /// Queue Fw1 fan-outs as burst descriptors. Applied only when eligible:
-  /// synchronous model, no adversary strategy, no fault plan (the burst
-  /// path skips the per-send observe/fault taps). Ineligible runs silently
-  /// fall back to per-send queueing — results are identical either way.
-  bool bursts = true;
   /// Invoked after every executed sync round with (round, events pending) —
   /// in-trial progress for runs where one trial takes minutes.
   std::function<void(Round, std::size_t)> round_progress;
 };
 
-/// Runs AER on a prebuilt world through the SoA state. Produces the same
-/// AerReport as run_aer_world / run_aer_world_arena — bit-identical metrics
-/// and decisions — plus the memory section (mem_bytes, mem_bytes_per_node),
-/// which only this runner fills.
+/// Runs AER on a prebuilt world through `arena`. Fills every AerReport
+/// section, the memory account (mem_bytes, mem_bytes_per_node) included.
+/// Fw1 fan-outs travel as burst descriptors whenever that is invisible:
+/// synchronous model, no adversary strategy, no fault or recovery plan.
 AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
                             const SoaRunOptions& opts = {},
                             const StrategyFactory& make_strategy = {});

@@ -146,11 +146,10 @@ struct Aggregate {
   std::size_t max_deferred = 0;
 
   /// Memory distribution across trials (bytes/node; all-zero on runners
-  /// that do not account memory). Deliberately OUTSIDE fingerprint(): the
-  /// pinned golden fingerprints predate the memory metric, and pointer-path
-  /// and SoA-path runs of the same point must keep matching fingerprints
-  /// while only one of them fills this field. Report::diff compares it
-  /// explicitly instead (exp/report.cpp kDiffMetrics).
+  /// that do not account memory, such as the baseline protocols').
+  /// Deliberately OUTSIDE fingerprint(): the pinned golden fingerprints
+  /// predate the memory metric. Report::diff compares it explicitly
+  /// instead (exp/report.cpp kDiffMetrics).
   SummaryStats mem_bytes_per_node;
 
   /// Adaptive-adversary corruption timeline across trials. Same placement

@@ -2,13 +2,14 @@
 //
 // A sweep runs thousands of trials back to back; without an arena every
 // trial reconstructs its whole world on the heap — string table, sampler
-// tables, engine, n actors and their tally maps. The arena keeps all of it
-// alive between trials: build_aer_world_into re-keys the world in place,
-// the engines reset instead of reconstructing, and the actor pool's
-// containers keep their capacity. After a warm-up trial, running a trial
-// performs no heap allocation (under the default corruption picker, the
-// "none" attack and an allocation-free fault plan) — the contract
-// bench_micro_primitives::BM_WarmTrialAllocations enforces.
+// tables, engine and the actor state's tables and maps. The arena keeps all
+// of it alive between trials: build_aer_world_into re-keys the world in
+// place, the engines reset instead of reconstructing, and the actor state
+// (aer/soa.h) keeps its capacity and its retained maps' pool. After a
+// warm-up trial, running a trial performs no heap allocation (under the
+// default corruption picker, the "none" attack and an allocation-free fault
+// plan) — the contract bench_micro_primitives::BM_WarmTrialAllocations
+// enforces.
 //
 // Determinism: a trial's result depends only on its config (seed included),
 // never on what the arena ran before — reset paths replicate construction
@@ -18,8 +19,8 @@
 
 #include <cstdint>
 
-#include "aer/runner.h"
 #include "aer/soa.h"
+#include "exp/scenario.h"
 
 namespace fba::exp {
 
@@ -42,7 +43,7 @@ struct TrialTiming {
 class TrialArena {
  public:
   aer::AerWorld world;
-  aer::RunArena run;
+  aer::SoaArena run;
   TrialTiming timing;
 
   /// Discards every pool, slab and table: the next trial rebuilds from
@@ -52,24 +53,38 @@ class TrialArena {
   /// kept: it accounts the run, not the storage.
   void clear() {
     world = aer::AerWorld();
-    run.sync.reset();
-    run.async.reset();
-    run.node_pool.clear();
-    run.node_pool.shrink_to_fit();
-    run.active.clear();
-    run.active.shrink_to_fit();
+    run.clear();
   }
 };
 
-/// Scale-mode counterpart: the world plus the structure-of-arrays actor
-/// state and engines (aer/soa.h) reused across the trials one worker runs.
-/// Same determinism contract as TrialArena — a trial's result depends only
-/// on its config, never on what the arena ran before.
-class ScaleArena {
- public:
-  aer::AerWorld world;
-  aer::SoaArena run;
-  TrialTiming timing;
-};
+}  // namespace fba::exp
+
+// ----- names called by perfbench/ --------------------------------------------
+// The benchmark's sources predate the single actor path and are changed only
+// together with the benchmark itself, so the names they call stay here as
+// aliases of, or forwarders onto, the one implementation above.
+
+namespace fba::aer {
+
+using RunArena = SoaArena;  // called by perfbench/
+
+// called by perfbench/
+inline AerReport run_aer_world_arena(AerWorld& world, SoaArena& arena,
+                                     const StrategyFactory& make_strategy) {
+  return run_aer_world_soa(world, arena, {}, make_strategy);
+}
+
+}  // namespace fba::aer
+
+namespace fba::exp {
+
+using ScaleArena = TrialArena;  // called by perfbench/
+
+// called by perfbench/
+inline void run_aer_scale_trial(const aer::AerConfig& config,
+                                const GridPoint& point, TrialArena& arena,
+                                TrialOutcome& out) {
+  run_aer_trial(config, point, arena, out);
+}
 
 }  // namespace fba::exp

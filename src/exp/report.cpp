@@ -205,9 +205,9 @@ const DiffMetric kDiffMetrics[] = {
     {"wrong_decisions_per_trial", true, true},
     // Deliberately outside the fingerprint (exp/aggregate.h) — compared
     // even on fingerprint-identical points. A zero baseline means the
-    // baseline never accounted memory (v1 file or pointer-path run); the
-    // comparison is skipped then rather than flagging any positive value
-    // as a regression.
+    // baseline never accounted memory (a v1 file, or a run recorded before
+    // every AER runner filled the account); the comparison is skipped then
+    // rather than flagging any positive value as a regression.
     {"mem_bytes_per_node.mean", true, false},
     // Also outside the fingerprint. A zero baseline means the baseline ran
     // without the recovery layer (or a pre-v5 file) — skipped then, like

@@ -394,7 +394,8 @@ TrialOutcome run_aer_trial(const aer::AerConfig& config,
 }
 
 void run_aer_trial(const aer::AerConfig& config, const GridPoint& point,
-                   TrialArena& arena, TrialOutcome& out) {
+                   TrialArena& arena, TrialOutcome& out,
+                   const aer::SoaRunOptions& options) {
   using clock = std::chrono::steady_clock;
   aer::AerConfig cfg = config;
   if (!point.fault.empty()) cfg.fault_plan = fault_plan_factory(point.fault);
@@ -404,34 +405,8 @@ void run_aer_trial(const aer::AerConfig& config, const GridPoint& point,
   const auto t0 = clock::now();
   aer::build_aer_world_into(arena.world, cfg);
   const auto t1 = clock::now();
-  const aer::AerReport report = aer::run_aer_world_arena(
-      arena.world, arena.run, attack_factory(point.strategy));
-  outcome_into(report, arena.world, out);
-  out.seed = cfg.seed;
-  const auto t2 = clock::now();
-  arena.timing.setup_seconds += std::chrono::duration<double>(t1 - t0).count();
-  arena.timing.run_seconds += std::chrono::duration<double>(t2 - t1).count();
-  ++arena.timing.trials;
-}
-
-void run_aer_scale_trial(const aer::AerConfig& config, const GridPoint& point,
-                         ScaleArena& arena, TrialOutcome& out,
-                         const ScaleTrialOptions& options) {
-  using clock = std::chrono::steady_clock;
-  aer::AerConfig cfg = config;
-  if (!point.fault.empty()) cfg.fault_plan = fault_plan_factory(point.fault);
-  if (!point.recovery.empty()) {
-    cfg.recovery_plan = recovery_plan_factory(point.recovery);
-  }
-  const auto t0 = clock::now();
-  aer::build_aer_world_into(arena.world, cfg);
-  const auto t1 = clock::now();
-  aer::SoaRunOptions run_opts;
-  run_opts.round_drain = options.round_drain;
-  run_opts.bursts = options.bursts;
-  run_opts.round_progress = options.round_progress;
   const aer::AerReport report = aer::run_aer_world_soa(
-      arena.world, arena.run, run_opts, attack_factory(point.strategy));
+      arena.world, arena.run, options, attack_factory(point.strategy));
   outcome_into(report, arena.world, out);
   out.seed = cfg.seed;
   const auto t2 = clock::now();

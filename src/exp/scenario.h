@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "aer/protocol.h"
+#include "aer/soa.h"
 #include "exp/aggregate.h"
 #include "exp/grid.h"
 
@@ -89,23 +90,6 @@ sim::RecoveryPlan recovery_plan_factory(const std::string& name);
 std::vector<std::string> known_recoveries();
 
 class TrialArena;
-class ScaleArena;
-
-/// Knobs for the scale-mode trial runner below (exp-level mirror of
-/// aer::SoaRunOptions, so callers need not reach into aer/soa.h).
-struct ScaleTrialOptions {
-  /// Drain each round's events with the event queue's linear round-drain
-  /// scan instead of per-event heap pops.
-  bool round_drain = true;
-  /// Collapse each d^2 Fw1 forward fan-out into one burst descriptor
-  /// (automatically disabled when the point carries an attack or faults).
-  bool bursts = true;
-  /// In-trial progress on the sync models: (round just finished, events
-  /// still pending). A scale trial is minutes long, so per-trial sweep
-  /// progress is too coarse — this is what fig3-scale's ETA line feeds on.
-  using RoundProgress = std::function<void(Round, std::size_t)>;
-  RoundProgress round_progress;
-};
 
 /// One full AER trial: builds a world for `config`, runs it under the
 /// point's attack, and harvests the outcome (including per-node decision
@@ -117,17 +101,11 @@ TrialOutcome run_aer_trial(const aer::AerConfig& config,
 /// storage comes from `arena` (exp/arena.h) and the outcome is written into
 /// `out` (capacity reuse) — zero heap allocations once the arena is warm.
 /// Also accumulates the setup-vs-run wall-time split into arena.timing.
+/// `options.round_progress` reports in-trial progress on the sync models,
+/// for scale points where one trial takes minutes.
 void run_aer_trial(const aer::AerConfig& config, const GridPoint& point,
-                   TrialArena& arena, TrialOutcome& out);
-
-/// Scale-mode variant: same world construction and RNG draws as
-/// run_aer_trial, executed through the structure-of-arrays runner
-/// (aer::run_aer_world_soa) — bit-identical protocol metrics and Aggregate
-/// fingerprints, plus a filled TrialOutcome::mem_bytes_per_node. The
-/// intended path for n >= 10^5 (docs/perf.md "scale mode").
-void run_aer_scale_trial(const aer::AerConfig& config, const GridPoint& point,
-                         ScaleArena& arena, TrialOutcome& out,
-                         const ScaleTrialOptions& options = {});
+                   TrialArena& arena, TrialOutcome& out,
+                   const aer::SoaRunOptions& options = {});
 
 /// Baseline AE->E reductions on the same world construction.
 TrialOutcome run_flood_trial(const aer::AerConfig& config,

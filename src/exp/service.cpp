@@ -70,7 +70,7 @@ void ServicePlan::run_instance(std::uint64_t instance, aer::AerConfig& cfg,
   }
   const auto t1 = clock::now();
   const aer::AerReport report =
-      aer::run_aer_world_arena(arena.world, arena.run, strategy_);
+      aer::run_aer_world_soa(arena.world, arena.run, {}, strategy_);
   outcome_into(report, arena.world, out);
   out.seed = cfg.seed;
   const auto t2 = clock::now();

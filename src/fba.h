@@ -24,7 +24,6 @@
 #include "ae/phase_king.h"
 #include "aer/config.h"
 #include "aer/messages.h"
-#include "aer/node.h"
 #include "aer/protocol.h"
 #include "aer/runner.h"
 #include "aer/soa.h"

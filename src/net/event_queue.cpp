@@ -240,7 +240,7 @@ EventQueue::Event EventQueue::pop() {
   // (at, pri, seq) order: the earliest tick's lowest-priority non-empty
   // lane, whose front holds that lane's lowest seq (lanes are push-ordered).
   // Front-erase is O(lane); single pops from buckets are rare (the sync
-  // engine drains whole rounds via pop_due), so correctness over speed here.
+  // engine drains whole rounds via drain_due), so correctness over speed.
   for (auto& lane : bucket.lanes) {
     if (lane.empty()) continue;
     Event out = std::move(lane.front());
@@ -250,28 +250,6 @@ EventQueue::Event EventQueue::pop() {
   }
   FBA_ASSERT(false, "non-empty bucket has empty lanes");
   return Event{};
-}
-
-std::size_t EventQueue::pop_due(SimTime until, std::vector<Event>& out) {
-  out.clear();
-  if (mode_ == Mode::kCalendar) {
-    while (size_ > 0 && next_at() <= until) {
-      out.push_back(pop());
-    }
-    return out.size();
-  }
-  // Advance one tick at a time and never beyond `until`: base_tick_ must
-  // stay at most one past the drained range, since the engine's next round
-  // pushes at `until + 1`.
-  while (!ring_.empty() && static_cast<SimTime>(base_tick_) <= until) {
-    Bucket& bucket = front_bucket();
-    for (auto& lane : bucket.lanes) {
-      for (Event& ev : lane) out.push_back(std::move(ev));
-    }
-    size_ -= bucket.count;
-    step_base();
-  }
-  return out.size();
 }
 
 }  // namespace fba::sim

@@ -34,9 +34,8 @@
 //                 performs no allocation at all.
 //
 // The engines are thin timing policies over this core: they decide each
-// event's (at, pri) and consume the ordered stream via pop() or the batched
-// pop_due() (sync: one call drains a whole round into a reusable scratch
-// vector).
+// event's (at, pri) and consume the ordered stream via pop() (async) or the
+// in-place drain_due() (sync: one call drains a whole round).
 #pragma once
 
 #include <array>
@@ -104,7 +103,7 @@ class EventQueue {
                   std::uint64_t token);
 
   /// Queues a burst descriptor: one event standing for a batch of same-kind
-  /// deliveries the consumer re-expands at delivery time (the scale path's
+  /// deliveries the consumer re-expands at delivery time (the AER actor's
   /// replacement for the Fw1 d^2 fan-out — n*d burst events instead of
   /// n*d^3 queued envelopes). `env` carries the template message; dst is
   /// ignored. Ordering is a single (at, pri, seq) slot, which matches the
@@ -115,14 +114,8 @@ class EventQueue {
   /// Removes and returns the next event in (at, pri, seq) order.
   Event pop();
 
-  /// Batched pop: drains every event with at <= until into `out` (cleared
-  /// first) in delivery order. Returns the number of events moved. `out`
-  /// keeps its capacity across calls, so a reused scratch vector makes the
-  /// steady-state round loop allocation-free.
-  std::size_t pop_due(SimTime until, std::vector<Event>& out);
-
   /// In-place drain: visits every event with at <= until in delivery order
-  /// without copying the round into a scratch vector — the scale path's
+  /// without copying the round into a scratch vector — the sync engine's
   /// round loop, where a round can hold tens of millions of events. The
   /// visitor may push new events, but only at timestamps strictly beyond
   /// the tick being drained (the sync engine's round discipline; asserted

@@ -23,22 +23,25 @@ void RecoveryState::configure(const RecoveryPlan& plan, std::size_t n,
                   : rto_floor_;
   srtt_ = 0;
   live_ = 0;
-  // Keep pool capacity across trials but reset every slot: gens restart at
-  // 0 so reruns are deterministic. Pre-size the pool to the typical
-  // in-flight window (~4 messages per node) so warm steady state never
-  // allocates; overflow grows geometrically via track().
+  // Keep pool capacity across trials. Gens restart at 0 so reruns are
+  // deterministic; track() rewrites every other field, and slots at or
+  // above fresh_ are untouched since their own reset, so only the last
+  // run's slots need it. Pre-size the pool to the typical in-flight window
+  // (~4 messages per node) so warm steady state never allocates; overflow
+  // grows geometrically via track().
+  for (std::uint32_t i = 0; i < fresh_; ++i) {
+    slots_[i].gen = 0;
+    slots_[i].live = false;
+    delivered_gen_[i] = 0;
+  }
+  fresh_ = 0;
+  free_.clear();
   const std::size_t reserve = std::max<std::size_t>(64, 4 * n);
   if (slots_.size() < reserve) {
     slots_.resize(reserve);
     delivered_gen_.resize(reserve);
   }
-  free_.clear();
   free_.reserve(slots_.size());
-  for (std::size_t i = slots_.size(); i > 0; --i) {
-    slots_[i - 1] = Slot{};
-    delivered_gen_[i - 1] = 0;
-    free_.push_back(static_cast<std::uint32_t>(i - 1));
-  }
 }
 
 RecoveryState::Slot& RecoveryState::slot_of(RecoveryTag tag) {
@@ -54,20 +57,19 @@ const RecoveryState::Slot& RecoveryState::slot_of(RecoveryTag tag) const {
 }
 
 RecoveryTag RecoveryState::track(const Envelope& env, double now) {
-  if (free_.empty()) {
+  // Released slots first (LIFO), then never-used ones in index order.
+  std::uint32_t index = fresh_;
+  if (!free_.empty()) {
+    index = free_.back();
+    free_.pop_back();
+  } else if (fresh_++ == slots_.size()) {
     // Amortized growth only when the whole pool is in flight — past the
     // pre-sized window this is rare and never on the warm steady path.
-    const std::size_t old = slots_.size();
-    const std::size_t grown = std::max<std::size_t>(64, old * 2);
+    const std::size_t grown = std::max<std::size_t>(64, slots_.size() * 2);
     slots_.resize(grown);
     delivered_gen_.resize(grown, 0);
     free_.reserve(grown);
-    for (std::size_t i = grown; i > old; --i) {
-      free_.push_back(static_cast<std::uint32_t>(i - 1));
-    }
   }
-  const std::uint32_t index = free_.back();
-  free_.pop_back();
   Slot& slot = slots_[index];
   // Gen 0 is the untracked sentinel in delivered_gen_, so skip it on wrap.
   if (++slot.gen == 0) ++slot.gen;

@@ -137,7 +137,10 @@ class RecoveryState {
   double srtt_ = 0;        ///< 0 = no sample yet.
 
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;  ///< reusable slot indices (LIFO).
+  std::vector<std::uint32_t> free_;  ///< released slot indices (LIFO).
+  /// Slots at or above this index have not been handed out since the last
+  /// configure(), so configure() resets only the ones below it.
+  std::uint32_t fresh_ = 0;
   /// Receiver dedup: last gen delivered per slot, compared with
   /// wrap-safe serial arithmetic (a slot cycles through gens as it is
   /// reused; a newer gen is a new send, an equal/older one a duplicate).

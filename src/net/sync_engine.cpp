@@ -27,7 +27,6 @@ void SyncEngine::reset(const SyncConfig& config) {
   config_ = config;
   current_round_ = 0;
   queue_.clear();
-  due_.clear();
   beyond_horizon_ = 0;
   burst_source_ = nullptr;
   round_progress_ = nullptr;
@@ -66,7 +65,7 @@ void SyncEngine::queue_recovery_timer(double delay, std::uint64_t token) {
 
 void SyncEngine::queue_burst(const Envelope& env) {
   FBA_ASSERT(burst_source_ != nullptr, "queue_burst without a burst source");
-  // Bursts carry no fault-layer jitter (the scale path runs fault-free), so
+  // Bursts carry no fault-layer jitter (they are only used fault-free), so
   // delivery is plain next-round. Same horizon cull as queue_envelope: the
   // caller already charged the expanded sends, and one suppressed descriptor
   // is enough to keep the quiescence stop honest.
@@ -122,10 +121,9 @@ SyncResult SyncEngine::run(const std::function<bool()>& done) {
     ++current_round_;
 
     if (!rushing) adversary_turn(current_round_);
-    // Drain the whole round: corrupt-origin sends, correct sends, then due
-    // timers, each class in FIFO order. The default path batches into the
-    // reusable scratch vector; round_drain visits the round in place (and
-    // re-expands burst descriptors at delivery time).
+    // Drain the whole round in place: corrupt-origin sends, correct sends,
+    // then due timers, each class in FIFO order. Burst descriptors are
+    // re-expanded at delivery time.
     auto dispatch = [&](const EventQueue::Event& ev) {
       if (ev.is_timer) {
         // The sentinel check must come before fire_timer: the recovery
@@ -141,12 +139,7 @@ SyncResult SyncEngine::run(const std::function<bool()>& done) {
         deliver(ev.env, ev.rec());
       }
     };
-    if (config_.round_drain) {
-      queue_.drain_due(static_cast<SimTime>(current_round_), dispatch);
-    } else {
-      queue_.pop_due(static_cast<SimTime>(current_round_), due_);
-      for (const EventQueue::Event& ev : due_) dispatch(ev);
-    }
+    queue_.drain_due(static_cast<SimTime>(current_round_), dispatch);
     for (NodeId id = 0; id < n_; ++id) {
       if (corrupt_[id]) continue;
       Context ctx(*this, id, now(), node_rng(id));

@@ -33,10 +33,6 @@ struct SyncConfig {
   /// the round clock even through silent rounds (e.g. a corrupt king says
   /// nothing): quiescence only stops the run after this many rounds.
   Round min_rounds = 0;
-  /// Scale mode: drain each round in place (EventQueue::drain_due) instead
-  /// of copying it into the per-round scratch vector. Delivery order is
-  /// identical; a million-node round avoids holding the round twice.
-  bool round_drain = false;
 };
 
 struct SyncResult {
@@ -113,7 +109,6 @@ class SyncEngine : public EngineBase {
   SyncConfig config_;
   Round current_round_ = 0;
   EventQueue queue_;
-  std::vector<EventQueue::Event> due_;  ///< per-round scratch, reused.
   /// Sends/timers culled because they could only fire after max_rounds.
   /// They are fully charged (metrics, adversary tap) but never queued;
   /// nonzero culls suppress the quiescence stop so round counts match an

@@ -91,6 +91,7 @@ void QuorumTable::reset(const QuorumSampler* sampler, std::size_t n) {
   sampler_ = sampler;
   n_ = n;
   ++epoch_;
+  active_slabs_ = 0;
   index_.clear();
   arena_.reset(quorum_stride(sampler->d()));
 }
@@ -101,6 +102,7 @@ QuorumTable::Slab& QuorumTable::activate(std::uint32_t sid,
   Slab& slab = slabs_[sid];
   if (slab.trial_epoch != epoch_) {
     slab.trial_epoch = epoch_;
+    ++active_slabs_;
     slab.key = key;
     const std::size_t d = sampler_->d();
     slab.perms.clear();

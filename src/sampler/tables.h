@@ -17,8 +17,7 @@
 //     row_of[x] — a lookup is one array index, no hashing. Each row stores
 //     the slot-order members, a sorted copy (O(log d) membership /
 //     multiplicity, identical semantics to sampler::Quorum), and the
-//     first-seen-order distinct member list the send loops iterate (what
-//     aer/node.cpp used to recompute — with a fresh vector — per send).
+//     first-seen-order distinct member list the send loops iterate.
 //   - PollTable: poll lists are keyed by (node, label) with labels drawn
 //     from the huge domain R, so rows sit behind one open-addressed probe
 //     instead of a dense index; storage is the same chunked slab.
@@ -125,8 +124,8 @@ class QuorumTable {
 
   /// Rows materialized so far (tests / diagnostics).
   std::size_t rows_built() const { return arena_.rows(); }
-  /// String slabs ever activated (memory accounting).
-  std::size_t slab_count() const { return slabs_.size(); }
+  /// String slabs activated since the last reset (memory accounting).
+  std::size_t slab_count() const { return active_slabs_; }
 
  private:
   struct Slab {
@@ -140,6 +139,7 @@ class QuorumTable {
   const QuorumSampler* sampler_ = nullptr;
   std::size_t n_ = 0;
   std::uint64_t epoch_ = 0;
+  mutable std::size_t active_slabs_ = 0;
   mutable std::vector<Slab> slabs_;  ///< indexed by dense StringId
   /// packed (sid, x) -> arena row index + 1 (0 = not built yet). One shared
   /// probe table sized to the rows actually touched — a dense per-slab

@@ -8,7 +8,7 @@
 // IMPORTANT scope restriction: these containers are deliberately
 // *unordered and non-iterable*. Simulation behavior depends on the order
 // messages are sent, so any container whose iteration drives sends must
-// keep std::unordered_map's iteration order (see aer/node.h's retained
+// keep std::unordered_map's iteration order (see aer/soa.h's retained
 // maps). FlatMap64 is only for state that is looked up and mutated in
 // place — results are identical regardless of capacity history, which keeps
 // arena-reused trials bit-identical to fresh ones.

@@ -3,7 +3,7 @@
 // The experiment runner executes thousands of trials back to back; each
 // trial's node-local hash maps would otherwise malloc/free every map node
 // and bucket array. Pool recycles that memory: allocations are served from
-// power-of-two size-class free lists backed by chunked slabs, deallocations
+// size-class free lists backed by chunked slabs, deallocations
 // push onto the free list, and nothing is returned to the system until the
 // pool dies. After a warm-up trial has grown the free lists to the
 // working-set size, a trial allocates nothing from the heap — the
@@ -61,24 +61,32 @@ class Pool {
   std::size_t reserved_bytes() const { return reserved_; }
 
  private:
-  // Classes are powers of two from 16 bytes (covers one map node of a small
-  // value) up to 16 MiB (a large trial's bucket array / row slab).
-  static constexpr std::size_t kMinShift = 4;
-  static constexpr std::size_t kNumClasses = 21;  // 16 B .. 16 MiB
+  // Classes step by 16 bytes up to 256 B, so a map node or a small bucket
+  // array wastes under 16 bytes (a power-of-two class would round an 80-byte
+  // node up to 128); above that they are powers of two up to 16 MiB (a large
+  // trial's bucket array / row slab). Every class is a multiple of 16, so
+  // blocks carved back to back stay 16-byte aligned.
+  static constexpr std::size_t kStep = 16;
+  static constexpr std::size_t kSteppedClasses = 16;   // 16 B .. 256 B
+  static constexpr std::size_t kNumClasses = kSteppedClasses + 16;  // .. 16 MiB
   static constexpr std::size_t kChunkBytes = 1 << 18;  // 256 KiB slabs
 
   static std::size_t size_class(std::size_t bytes) {
-    std::size_t cls = 0;
-    std::size_t cap = std::size_t{1} << kMinShift;
-    while (cap < bytes) {
-      cap <<= 1;
-      ++cls;
+    if (bytes <= kStep * kSteppedClasses) {
+      return bytes <= kStep ? 0 : (bytes - 1) / kStep;
     }
+    std::size_t cls = kSteppedClasses;
+    while (class_bytes(cls) < bytes) ++cls;
     return cls;
   }
 
+  static std::size_t class_bytes(std::size_t cls) {
+    if (cls < kSteppedClasses) return (cls + 1) * kStep;
+    return (kStep * kSteppedClasses) << (cls - kSteppedClasses + 1);
+  }
+
   void* carve(std::size_t cls) {
-    const std::size_t bytes = std::size_t{1} << (kMinShift + cls);
+    const std::size_t bytes = class_bytes(cls);
     if (bytes >= kChunkBytes) {  // one allocation per block at large sizes
       chunks_.emplace_back(static_cast<char*>(::operator new(bytes)));
       reserved_ += bytes;

@@ -230,6 +230,63 @@ TEST(SweepTest, ArenaReusedAcrossGridShapesStaysCorrect) {
   }
 }
 
+TEST(SweepTest, WarmArenaMatchesFreshRunsAcrossShapesFaultsAndAdaptive) {
+  // The arena's reuse contract (pooled retained maps, reset engines and
+  // recovery slots, rebuilt worlds): one warm arena runs cells of
+  // different n, engine, fault/recovery stack and runtime corruption back
+  // to back, and every trial matches a fresh run_aer of the same config —
+  // fingerprint, corruption timeline and memory account alike.
+  struct Cell {
+    std::size_t n;
+    aer::Model model;
+    const char* strategy;
+    const char* fault;
+    const char* recovery;
+    long budget;
+  };
+  const std::vector<Cell> cells = {
+      {64, aer::Model::kSyncRushing, "none", "", "", -1},
+      {256, aer::Model::kSyncRushing, "none", "", "", -1},
+      {64, aer::Model::kSyncRushing, "none", "", "", -1},
+      {80, aer::Model::kAsync, "none", "lossy-5pct", "arq-fast", -1},
+      {64, aer::Model::kSyncRushing, "adaptive-degree", "", "", 4},
+      {64, aer::Model::kAsync, "none", "", "", -1},
+  };
+  aer::AerConfig base;
+  base.seed = 20130722;
+  exp::TrialArena arena;
+  exp::TrialOutcome warm;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    exp::GridPoint point;
+    point.index = c;
+    point.n = cells[c].n;
+    point.model = cells[c].model;
+    point.strategy = cells[c].strategy;
+    point.fault = cells[c].fault;
+    point.recovery = cells[c].recovery;
+    point.budget = cells[c].budget;
+    std::vector<exp::TrialOutcome> warm_outcomes, fresh_outcomes;
+    for (std::size_t t = 0; t < 2; ++t) {
+      aer::AerConfig cfg = point.apply(base);
+      cfg.seed = exp::trial_seed(base.seed, c, t);
+      exp::run_aer_trial(cfg, point, arena, warm);
+      warm_outcomes.push_back(warm);
+      fresh_outcomes.push_back(exp::run_aer_trial(cfg, point));
+      EXPECT_EQ(warm.mem_bytes_per_node,
+                fresh_outcomes.back().mem_bytes_per_node)
+          << "cell " << c << " trial " << t;
+    }
+    const exp::Aggregate a = exp::aggregate_outcomes(warm_outcomes);
+    const exp::Aggregate b = exp::aggregate_outcomes(fresh_outcomes);
+    EXPECT_EQ(a.fingerprint(), b.fingerprint()) << "cell " << c;
+    EXPECT_EQ(a.runtime_corruptions, b.runtime_corruptions) << "cell " << c;
+    EXPECT_EQ(a.last_corruption_time, b.last_corruption_time) << "cell " << c;
+    if (cells[c].budget > 0) {
+      EXPECT_GT(a.runtime_corruptions, 0u) << "cell " << c;
+    }
+  }
+}
+
 TEST(SweepTest, PerKindTrafficAxesArePopulatedAndConsistent) {
   aer::AerConfig base;
   base.n = 64;

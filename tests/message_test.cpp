@@ -153,7 +153,7 @@ TEST_P(EventQueueModes, OrdersByTimeThenPriorityThenSeq) {
   EXPECT_EQ(q.pop().env.src, 1u);    // (2.0)
 }
 
-TEST_P(EventQueueModes, PopDueDrainsBatchInDeliveryOrder) {
+TEST_P(EventQueueModes, DrainDueVisitsBatchInDeliveryOrder) {
   EventQueue q(GetParam());
   Envelope env;
   env.src = 5;
@@ -165,15 +165,20 @@ TEST_P(EventQueueModes, PopDueDrainsBatchInDeliveryOrder) {
   q.push_message(1.0, 0, env);  // corrupt-origin class: delivered first
 
   std::vector<EventQueue::Event> due;
-  EXPECT_EQ(q.pop_due(1.0, due), 3u);
+  const auto collect = [&due](const EventQueue::Event& ev) {
+    due.push_back(ev);
+  };
+  q.drain_due(1.0, collect);
   ASSERT_EQ(due.size(), 3u);
   EXPECT_EQ(due[0].env.src, 0u);
   EXPECT_EQ(due[1].env.src, 1u);
   EXPECT_TRUE(due[2].is_timer);
   EXPECT_EQ(q.size(), 1u);  // the 2.0 message stays queued
 
-  // Order survives interleaved push/pop_due cycles.
-  EXPECT_EQ(q.pop_due(2.0, due), 1u);
+  // Order survives interleaved push/drain_due cycles.
+  due.clear();
+  q.drain_due(2.0, collect);
+  ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].env.src, 5u);
   EXPECT_TRUE(q.empty());
 }

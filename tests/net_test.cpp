@@ -633,7 +633,7 @@ TEST(HorizonTest, AsyncChurnUpAtMaxTimeIsExclusiveAtTheEdge) {
   EXPECT_EQ(engine.metrics().drops_of(FaultCause::kChurn), 1u);
 }
 
-// ---- round-drain event core (the scale path) --------------------------------
+// ---- round-drain event core -------------------------------------------------
 
 Envelope tagged_env(NodeId src, NodeId dst, std::uint32_t tag) {
   Envelope env;
@@ -669,7 +669,7 @@ std::string event_signature(const EventQueue::Event& ev) {
   return s;
 }
 
-/// drain_due must visit exactly the events pop_due returns, in the same
+/// drain_due must visit exactly the events pop() returns, in the same
 /// (at, pri, seq) order — in both storage modes.
 void check_drain_matches_pop(EventQueue::Mode mode) {
   EventQueue popped(mode);
@@ -678,11 +678,9 @@ void check_drain_matches_pop(EventQueue::Mode mode) {
   fill_queue(drained);
 
   for (SimTime until = 1; until <= 4; ++until) {
-    std::vector<EventQueue::Event> out;
-    popped.pop_due(until, out);
     std::vector<std::string> pop_sigs, drain_sigs;
-    for (const EventQueue::Event& ev : out) {
-      pop_sigs.push_back(event_signature(ev));
+    while (!popped.empty() && popped.next_at() <= until) {
+      pop_sigs.push_back(event_signature(popped.pop()));
     }
     drained.drain_due(until, [&](const EventQueue::Event& ev) {
       drain_sigs.push_back(event_signature(ev));
@@ -694,11 +692,11 @@ void check_drain_matches_pop(EventQueue::Mode mode) {
   EXPECT_TRUE(drained.empty());
 }
 
-TEST(EventQueueTest, DrainDueMatchesPopDueInBucketMode) {
+TEST(EventQueueTest, DrainDueMatchesPopOrderInBucketMode) {
   check_drain_matches_pop(EventQueue::Mode::kBuckets);
 }
 
-TEST(EventQueueTest, DrainDueMatchesPopDueInCalendarMode) {
+TEST(EventQueueTest, DrainDueMatchesPopOrderInCalendarMode) {
   check_drain_matches_pop(EventQueue::Mode::kCalendar);
 }
 
@@ -707,58 +705,11 @@ TEST(EventQueueTest, PeakSizeTracksHighWater) {
   EXPECT_EQ(q.peak_size(), 0u);
   fill_queue(q);  // 20 events
   EXPECT_EQ(q.peak_size(), 20u);
-  std::vector<EventQueue::Event> out;
-  q.pop_due(4, out);
+  q.drain_due(4, [](const EventQueue::Event&) {});
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.peak_size(), 20u);  // high water survives the drain...
   q.clear();
   EXPECT_EQ(q.peak_size(), 0u);  // ...and resets with the queue.
-}
-
-/// The engine-level contract: a run under round_drain is indistinguishable
-/// from the pop_due path — same rounds, same deliveries, same bit account.
-TEST(SyncEngineTest, RoundDrainRunMatchesPopDuePath) {
-  SyncResult results[2];
-  std::uint64_t bits[2];
-  std::vector<double> times[2];
-  for (int drain = 0; drain < 2; ++drain) {
-    SyncConfig cfg;
-    cfg.n = 2;
-    cfg.max_rounds = 10;
-    cfg.round_drain = drain == 1;
-    SyncEngine engine(cfg);
-    const Wire wire = test_wire();
-    engine.set_wire(&wire);
-    auto* a = new PingActor(1, true);
-    auto* b = new PingActor(0, true);
-    engine.set_actor(0, std::unique_ptr<Actor>(a));
-    engine.set_actor(1, std::unique_ptr<Actor>(b));
-    results[drain] = engine.run([] { return false; });
-    bits[drain] = engine.metrics().total_bits();
-    times[drain] = a->delivery_times;
-  }
-  EXPECT_EQ(results[0].rounds, results[1].rounds);
-  EXPECT_EQ(results[0].quiescent, results[1].quiescent);
-  EXPECT_EQ(bits[0], bits[1]);
-  EXPECT_EQ(times[0], times[1]);
-}
-
-TEST(HorizonTest, SyncSendDuringFinalRoundIsCulledUnderRoundDrain) {
-  SyncConfig cfg;
-  cfg.n = 2;
-  cfg.max_rounds = 3;
-  cfg.min_rounds = 3;
-  cfg.round_drain = true;
-  SyncEngine engine(cfg);
-  const Wire wire = test_wire();
-  engine.set_wire(&wire);
-  engine.set_actor(0, std::make_unique<RoundSenderActor>(3));
-  auto* sink = new IdleActor();
-  engine.set_actor(1, std::unique_ptr<Actor>(sink));
-  const auto result = engine.run([] { return false; });
-  EXPECT_EQ(sink->received.size(), 0u);
-  EXPECT_EQ(engine.metrics().total_messages(), 1u);  // charged, never queued
-  EXPECT_FALSE(result.quiescent);
 }
 
 }  // namespace

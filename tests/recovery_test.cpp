@@ -121,6 +121,37 @@ TEST(RecoveryStateTest, ReceiverDedupDeliversOncePerGeneration) {
   EXPECT_FALSE(state.should_deliver(reused));
 }
 
+// configure() resets only the slots the last run handed out; a reused
+// state must still hand out exactly the tags a fresh one does — slot order
+// (released slots LIFO, then never-used ones in index order, growth past
+// the pre-sized pool included) and generations alike.
+TEST(RecoveryStateTest, ReconfiguredStateHandsOutTagsLikeAFreshOne) {
+  const auto run = [](RecoveryState& state) {
+    state.configure(tight_plan(), /*n=*/4, /*rto_floor=*/2.0);
+    std::vector<RecoveryTag> tags;
+    for (int i = 0; i < 100; ++i) {  // past the 64 pre-sized slots
+      tags.push_back(state.track(ping_env(0, 1), i));
+      EXPECT_TRUE(state.should_deliver(tags.back()));
+      if (i % 3 == 0) {
+        EXPECT_TRUE(state.on_ack(tags[i / 2], i + 0.5));
+      }
+    }
+    return tags;
+  };
+  RecoveryState reused;
+  const std::vector<RecoveryTag> first = run(reused);
+  const std::vector<RecoveryTag> again = run(reused);
+  RecoveryState fresh;
+  const std::vector<RecoveryTag> expected = run(fresh);
+  ASSERT_EQ(first.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(first[i].slot1, expected[i].slot1) << i;
+    EXPECT_EQ(first[i].gen, expected[i].gen) << i;
+    EXPECT_EQ(again[i].slot1, expected[i].slot1) << i;
+    EXPECT_EQ(again[i].gen, expected[i].gen) << i;
+  }
+}
+
 TEST(RecoveryStateTest, ExplicitRtoIsClampedToTheEngineFloor) {
   RecoveryPlan plan = tight_plan();
   plan.rto_initial = 0.25;  // sub-floor: would retransmit in-flight acks

@@ -1,10 +1,7 @@
-// The scale mode's equivalence contract (aer/soa.h, docs/perf.md):
-// the structure-of-arrays runner must be an observationally exact drop-in
-// for the pointer-path runners — bit-identical Aggregate fingerprints
-// across timing models, attacks and fault presets — with each of its two
-// accelerations (round-drain event core, Fw1 burst descriptors) separately
-// removable without changing results. The memory account it adds must be
-// deterministic: a warm arena reports the same bytes as a cold one.
+// The AER runner's memory account (aer/soa.h, support/mem.h) must be
+// deterministic: a warm arena reports the same bytes as a cold one. The
+// actor state's per-node introspection must agree with the world's
+// decision log.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,29 +22,15 @@ aer::AerConfig base_config() {
   return base;
 }
 
-/// Mirrors exp::Sweep's per-trial seed derivation so every runner below
-/// executes the identical (config, seed) sequence.
-std::vector<exp::TrialOutcome> pointer_outcomes(const exp::GridPoint& point,
-                                                std::size_t trials) {
-  std::vector<exp::TrialOutcome> outcomes;
-  for (std::size_t t = 0; t < trials; ++t) {
-    aer::AerConfig cfg = point.apply(base_config());
-    cfg.seed = exp::trial_seed(kSeed, point.index, t);
-    exp::TrialOutcome o = exp::run_aer_trial(cfg, point);
-    o.seed = cfg.seed;
-    outcomes.push_back(std::move(o));
-  }
-  return outcomes;
-}
-
-std::vector<exp::TrialOutcome> soa_outcomes(
-    const exp::GridPoint& point, std::size_t trials, exp::ScaleArena& arena,
-    const exp::ScaleTrialOptions& options = {}) {
+/// Mirrors exp::Sweep's per-trial seed derivation.
+std::vector<exp::TrialOutcome> arena_outcomes(const exp::GridPoint& point,
+                                              std::size_t trials,
+                                              exp::TrialArena& arena) {
   std::vector<exp::TrialOutcome> outcomes(trials);
   for (std::size_t t = 0; t < trials; ++t) {
     aer::AerConfig cfg = point.apply(base_config());
     cfg.seed = exp::trial_seed(kSeed, point.index, t);
-    exp::run_aer_scale_trial(cfg, point, arena, outcomes[t], options);
+    exp::run_aer_trial(cfg, point, arena, outcomes[t]);
     outcomes[t].seed = cfg.seed;
   }
   return outcomes;
@@ -64,112 +47,6 @@ exp::GridPoint grid_point(aer::Model model, const std::string& attack,
   return point;
 }
 
-// The tentpole contract: for every timing model x attack x fault cell, the
-// SoA path's Aggregate is bit-identical to the pointer path's (fingerprint
-// hashes every protocol-visible field; the memory account sits outside it
-// by design). Attacks and faults also force the burst gate off, so this
-// covers both the per-send and the burst spelling of the Fw1 fan-out.
-TEST(ScaleEquivalenceTest, SoaMatchesPointerPathAcrossModelsAttacksFaults) {
-  const std::vector<std::string> attacks = {"none", "stuff", "junk"};
-  const std::vector<std::string> faults = {"", "lossy-5pct"};
-  const std::vector<aer::Model> models = {aer::Model::kSyncNonRushing,
-                                          aer::Model::kSyncRushing,
-                                          aer::Model::kAsync};
-  exp::ScaleArena arena;  // reused across cells: history must not matter
-  std::size_t index = 0;
-  for (const aer::Model model : models) {
-    for (const std::string& attack : attacks) {
-      for (const std::string& fault : faults) {
-        const exp::GridPoint point = grid_point(model, attack, fault, index++);
-        const exp::Aggregate pointer =
-            exp::aggregate_outcomes(pointer_outcomes(point, 2));
-        const exp::Aggregate soa =
-            exp::aggregate_outcomes(soa_outcomes(point, 2, arena));
-        EXPECT_EQ(pointer.fingerprint(), soa.fingerprint())
-            << "model=" << aer::model_name(model) << " attack=" << attack
-            << " fault=" << (fault.empty() ? "none" : fault);
-        // The scale path's one addition: the deterministic memory account.
-        EXPECT_GT(soa.mem_bytes_per_node.mean, 0.0);
-        EXPECT_EQ(pointer.mem_bytes_per_node.mean, 0.0);
-      }
-    }
-  }
-}
-
-// Runtime corruptions ride the same equivalence contract: for every
-// adaptive-* strategy x engine x budget, the SoA path must observe, pick,
-// silence and account victims exactly as the pointer path does — same
-// fingerprints AND the same corruption timeline (which sits outside the
-// fingerprint, so it is compared explicitly).
-TEST(ScaleEquivalenceTest, SoaMatchesPointerPathUnderAdaptiveAttacks) {
-  const std::vector<std::string> attacks = {
-      "adaptive-degree", "adaptive-quorum", "adaptive-king",
-      "adaptive-random"};
-  const std::vector<aer::Model> models = {aer::Model::kSyncRushing,
-                                          aer::Model::kAsync};
-  exp::ScaleArena arena;
-  std::size_t index = 0;
-  for (const aer::Model model : models) {
-    for (const std::string& attack : attacks) {
-      for (const long budget : {2L, 8L}) {
-        exp::GridPoint point = grid_point(model, attack, "", index++);
-        point.budget = budget;
-        point.adaptive_from = 2.0;
-        const exp::Aggregate pointer =
-            exp::aggregate_outcomes(pointer_outcomes(point, 2));
-        const exp::Aggregate soa =
-            exp::aggregate_outcomes(soa_outcomes(point, 2, arena));
-        EXPECT_EQ(pointer.fingerprint(), soa.fingerprint())
-            << "model=" << aer::model_name(model) << " attack=" << attack
-            << " budget=" << budget;
-        EXPECT_EQ(pointer.runtime_corruptions, soa.runtime_corruptions)
-            << "model=" << aer::model_name(model) << " attack=" << attack;
-        EXPECT_EQ(pointer.first_corruption_time, soa.first_corruption_time);
-        EXPECT_EQ(pointer.last_corruption_time, soa.last_corruption_time);
-        // The budget was actually spent (the cell is not vacuously equal).
-        EXPECT_GT(soa.runtime_corruptions, 0u)
-            << "model=" << aer::model_name(model) << " attack=" << attack;
-      }
-    }
-  }
-}
-
-// Burst descriptors are a pure queue-layout change: collapsing the d^2
-// Fw1 fan-out into one expanded-at-delivery event must not move a single
-// protocol observable.
-TEST(ScaleEquivalenceTest, BurstOnAndOffAreBitIdentical) {
-  for (const aer::Model model :
-       {aer::Model::kSyncNonRushing, aer::Model::kSyncRushing}) {
-    const exp::GridPoint point = grid_point(model, "none", "", 0);
-    exp::ScaleArena on_arena, off_arena;
-    exp::ScaleTrialOptions on, off;
-    on.bursts = true;
-    off.bursts = false;
-    const exp::Aggregate with_bursts =
-        exp::aggregate_outcomes(soa_outcomes(point, 2, on_arena, on));
-    const exp::Aggregate without_bursts =
-        exp::aggregate_outcomes(soa_outcomes(point, 2, off_arena, off));
-    EXPECT_EQ(with_bursts.fingerprint(), without_bursts.fingerprint())
-        << aer::model_name(model);
-  }
-}
-
-// Likewise the bucketed round-drain: linear-scan dispatch vs heap pops is
-// invisible to the protocol.
-TEST(ScaleEquivalenceTest, RoundDrainOnAndOffAreBitIdentical) {
-  const exp::GridPoint point =
-      grid_point(aer::Model::kSyncRushing, "none", "", 0);
-  exp::ScaleArena drain_arena, pop_arena;
-  exp::ScaleTrialOptions drain, pop;
-  drain.round_drain = true;
-  pop.round_drain = false;
-  const exp::Aggregate drained =
-      exp::aggregate_outcomes(soa_outcomes(point, 2, drain_arena, drain));
-  const exp::Aggregate popped =
-      exp::aggregate_outcomes(soa_outcomes(point, 2, pop_arena, pop));
-  EXPECT_EQ(drained.fingerprint(), popped.fingerprint());
-}
-
 // MemBudget's determinism contract: charges derive from logical sizes and
 // counts, never allocator capacity — so a warm arena (retained vectors,
 // grown tables) reports byte-identical memory to a cold one, and the
@@ -177,25 +54,25 @@ TEST(ScaleEquivalenceTest, RoundDrainOnAndOffAreBitIdentical) {
 TEST(ScaleMemoryTest, WarmArenaReportsSameBytesAsCold) {
   const exp::GridPoint point =
       grid_point(aer::Model::kSyncRushing, "none", "", 0);
-  exp::ScaleArena warm;
-  const std::vector<exp::TrialOutcome> first = soa_outcomes(point, 3, warm);
-  const std::vector<exp::TrialOutcome> rerun = soa_outcomes(point, 3, warm);
-  exp::ScaleArena cold_arena;
+  exp::TrialArena warm;
+  const std::vector<exp::TrialOutcome> first = arena_outcomes(point, 3, warm);
+  const std::vector<exp::TrialOutcome> rerun = arena_outcomes(point, 3, warm);
+  exp::TrialArena cold_arena;
   const std::vector<exp::TrialOutcome> cold =
-      soa_outcomes(point, 3, cold_arena);
+      arena_outcomes(point, 3, cold_arena);
   for (std::size_t t = 0; t < first.size(); ++t) {
     EXPECT_GT(first[t].mem_bytes_per_node, 0.0);
     EXPECT_EQ(first[t].mem_bytes_per_node, rerun[t].mem_bytes_per_node) << t;
     EXPECT_EQ(first[t].mem_bytes_per_node, cold[t].mem_bytes_per_node) << t;
   }
-  // And across the async engine too (heap queue, normalized time).
+  // And across the async engine too (calendar queue, normalized time).
   const exp::GridPoint async_point =
       grid_point(aer::Model::kAsync, "none", "", 1);
-  exp::ScaleArena async_warm;
+  exp::TrialArena async_warm;
   const std::vector<exp::TrialOutcome> async_first =
-      soa_outcomes(async_point, 2, async_warm);
+      arena_outcomes(async_point, 2, async_warm);
   const std::vector<exp::TrialOutcome> async_rerun =
-      soa_outcomes(async_point, 2, async_warm);
+      arena_outcomes(async_point, 2, async_warm);
   for (std::size_t t = 0; t < async_first.size(); ++t) {
     EXPECT_GT(async_first[t].mem_bytes_per_node, 0.0);
     EXPECT_EQ(async_first[t].mem_bytes_per_node,
@@ -204,8 +81,7 @@ TEST(ScaleMemoryTest, WarmArenaReportsSameBytesAsCold) {
   }
 }
 
-// The introspection mirrors the pointer path's per-node accessors; spot
-// check decided state against the world's decision log.
+// Spot check the per-node introspection against the world's decision log.
 TEST(ScaleIntrospectionTest, DecisionsMatchWorldLog) {
   aer::AerConfig cfg = base_config();
   cfg.model = aer::Model::kSyncRushing;
@@ -213,12 +89,11 @@ TEST(ScaleIntrospectionTest, DecisionsMatchWorldLog) {
   aer::SoaArena arena;
   const aer::AerReport report = aer::run_aer_world_soa(world, arena);
   EXPECT_GT(report.decided_count, 0u);
+  const aer::SoaAerState& state = *arena.state;
   for (const NodeId id : world.correct) {
-    EXPECT_EQ(arena.state.has_decided(id), world.decisions.has_decided(id))
-        << id;
-    if (arena.state.has_decided(id)) {
-      EXPECT_EQ(arena.state.decided_value(id), world.decisions.value(id))
-          << id;
+    EXPECT_EQ(state.has_decided(id), world.decisions.has_decided(id)) << id;
+    if (state.has_decided(id)) {
+      EXPECT_EQ(state.decided_value(id), world.decisions.value(id)) << id;
     }
   }
 }
