@@ -131,8 +131,9 @@ class AerShared {
 
   // ----- dense sampler front-ends (hot path) -------------------------------
   // Quorums are functions of string *content*; the dense tables additionally
-  // key on the run-local StringId so a lookup is an array index. Views stay
-  // valid for the rest of the trial.
+  // key on the run-local StringId, so a lookup is one open-addressed probe on
+  // the packed (StringId, node) pair. Views stay valid for the rest of the
+  // trial.
 
   /// I(s, x): who may push/route string s to x.
   sampler::QuorumView push_quorum(StringId s, NodeId x) const {

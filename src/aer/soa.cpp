@@ -32,26 +32,26 @@ void SoaAerState::reset(const AerShared* shared,
   answer_counts_.clear();
 
   if (forwarded_.size() < n_) {
-    const support::PoolAllocator<char> alloc(&pool_);
     forwarded_.resize(n_);
     deferred_.resize(n_);
-    pending_pulls_.resize(n_, PendingMap(alloc));
-    fw1_tallies_.resize(n_, Fw1Tallies(alloc));
-    responder_.resize(n_, ResponderMap(alloc));
+    retained_.resize(n_);
   }
-  // Every slot, not just the first n_: slots a larger earlier trial used
-  // hand their pooled nodes back too.
+  // Every slot, not just the first n_: a later, larger trial reuses them.
   for (std::size_t id = 0; id < forwarded_.size(); ++id) {
     forwarded_[id].clear();
     deferred_[id].clear();
-    // The retained maps are rebuilt, not cleared: a cleared unordered_map
-    // keeps its grown bucket array, which would give this trial a different
-    // bucket-growth (and thus iteration) history than a new map. Assigning
-    // an empty map returns the old nodes and buckets to the pool.
-    pending_pulls_[id] = PendingMap(pending_pulls_[id].get_allocator());
-    fw1_tallies_[id] = Fw1Tallies(fw1_tallies_[id].get_allocator());
-    responder_[id] = ResponderMap(responder_[id].get_allocator());
+    Retained& kept = retained_[id];
+    kept.pending_index.clear();
+    kept.group_index.clear();
+    kept.responder_index.clear();
+    kept.pending = kept.groups = kept.responders = Chain{};
   }
+  pending_pulls_.clear();
+  fw1_groups_.clear();
+  fw1_tallies_.clear();
+  responders_.clear();
+  fw1_tally_index_.clear();
+  h_w_memo_ = h_x_memo_ = j_memo_ = RowMemo{};
 
   counted_arena_.clear();
 
@@ -76,6 +76,33 @@ bool SoaAerState::already_counted(const NodeId* counted, std::uint32_t count,
     if (counted[i] == who) return true;
   }
   return false;
+}
+
+template <typename Record>
+std::uint32_t SoaAerState::append(std::vector<Record>& records, Chain& chain,
+                                  decltype(Record::key) key) {
+  const auto id = static_cast<std::uint32_t>(records.size());
+  records.emplace_back();
+  records.back().key = key;
+  if (chain.tail == kNoRecord) {
+    chain.head = id;
+  } else {
+    records[chain.tail].next = id;
+  }
+  chain.tail = id;
+  return id;
+}
+
+SoaAerState::ResponderState& SoaAerState::responder(NodeId self,
+                                                    std::uint64_t key) {
+  Retained& kept = retained_[self];
+  bool created = false;
+  std::uint32_t& id = kept.responder_index.get_or_create(key, created);
+  if (created) {
+    id = append(responders_, kept.responders, key);
+    responders_[id].counted_off = new_counted_span();
+  }
+  return responders_[id];
 }
 
 bool SoaAerState::over_budget(NodeId self, StringId s) const {
@@ -195,38 +222,66 @@ void SoaAerState::decide(sim::Context& ctx, NodeId self, StringId s) {
   serve_retained(ctx, self);
 }
 
-void SoaAerState::serve_retained(sim::Context& ctx, NodeId self) {
-  for (const auto& [key, r] : pending_pulls_[self]) {
-    const StringId s = static_cast<StringId>(key & 0xffffffffu);
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    if (s == current_[self]) forward_pull(ctx, self, x, s, r);
-  }
-  pending_pulls_[self].clear();
+namespace {
 
-  for (auto& [key, per_w] : fw1_tallies_[self]) {
-    const StringId s = static_cast<StringId>(key & 0xffffffffu);
-    if (s != current_[self]) continue;
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    const sampler::QuorumView h_x = shared_->pull_quorum(s, x);
-    for (auto& [w, tally] : per_w) {
-      if (!tally.fired && tally.slots * 2 > h_x.size()) {
-        tally.fired = true;
-        ctx.send(w, fw2_msg(x, s, tally.r));
-      }
-    }
+/// Visits the records of a first-insertion-order chain in the order the
+/// std::unordered_map<K, ...> they replace would iterate their keys
+/// (support::OrderReplay). Chains end at ~0u (SoaAerState::kNoRecord).
+/// `visit` gets record indexes: it may not append to `records`.
+template <typename K, typename Record, typename Visit>
+void visit_in_map_order(support::Pool& pool,
+                        const std::vector<Record>& records,
+                        std::uint32_t head, Visit&& visit) {
+  support::OrderReplay<K> order(&pool);
+  for (std::uint32_t i = head; i != ~0u; i = records[i].next) {
+    order.add(records[i].key, i);
   }
+  order.for_each(visit);
+}
+
+}  // namespace
+
+void SoaAerState::serve_retained(sim::Context& ctx, NodeId self) {
+  const Retained& kept = retained_[self];
+  visit_in_map_order<std::uint64_t>(
+      pool_, pending_pulls_, kept.pending.head, [&](std::uint32_t i) {
+        const PendingPull& p = pending_pulls_[i];
+        const StringId s = static_cast<StringId>(p.key & 0xffffffffu);
+        const NodeId x = static_cast<NodeId>(p.key >> 32);
+        if (s == current_[self]) forward_pull(ctx, self, x, s, p.r);
+      });
+
+  visit_in_map_order<std::uint64_t>(
+      pool_, fw1_groups_, kept.groups.head, [&](std::uint32_t g) {
+        const std::uint64_t key = fw1_groups_[g].key;
+        const StringId s = static_cast<StringId>(key & 0xffffffffu);
+        if (s != current_[self]) return;
+        const NodeId x = static_cast<NodeId>(key >> 32);
+        const sampler::QuorumView h_x = shared_->pull_quorum(s, x);
+        visit_in_map_order<NodeId>(
+            pool_, fw1_tallies_, fw1_groups_[g].tallies.head,
+            [&](std::uint32_t t) {
+              Fw1Tally& tally = fw1_tallies_[t];
+              if (!tally.fired && tally.slots * 2 > h_x.size()) {
+                tally.fired = true;
+                ctx.send(tally.key, fw2_msg(x, s, tally.r));
+              }
+            });
+      });
 
   const sampler::QuorumView h_self =
       shared_->pull_quorum(current_[self], self);
-  for (auto& [key, st] : responder_[self]) {
-    const StringId s = static_cast<StringId>(key & 0xffffffffu);
-    if (s != current_[self]) continue;
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    if (!st.answered && st.polled && st.slots * 2 > h_self.size()) {
-      st.answered = true;
-      emit_answer(ctx, self, x, s);
-    }
-  }
+  visit_in_map_order<std::uint64_t>(
+      pool_, responders_, kept.responders.head, [&](std::uint32_t i) {
+        ResponderState& st = responders_[i];
+        const StringId s = static_cast<StringId>(st.key & 0xffffffffu);
+        if (s != current_[self]) return;
+        const NodeId x = static_cast<NodeId>(st.key >> 32);
+        if (!st.answered && st.polled && st.slots * 2 > h_self.size()) {
+          st.answered = true;
+          emit_answer(ctx, self, x, s);
+        }
+      });
 }
 
 // ----- pull phase: forwarder, first hop (Algorithm 2) -----------------------
@@ -236,7 +291,14 @@ void SoaAerState::handle_pull(sim::Context& ctx, NodeId self, NodeId from,
   if (!shared_->pull_quorum(m.s, from).contains(self)) return;
   if (m.s != current_[self]) {
     if (!has_decided_[self]) {
-      pending_pulls_[self].emplace(pack_xs(from, m.s), m.r);
+      Retained& kept = retained_[self];
+      bool created = false;
+      const std::uint64_t key = pack_xs(from, m.s);
+      std::uint32_t& id = kept.pending_index.get_or_create(key, created);
+      if (created) {
+        id = append(pending_pulls_, kept.pending, key);
+        pending_pulls_[id].r = m.r;
+      }
     }
     return;
   }
@@ -308,18 +370,32 @@ void SoaAerState::expand(const sim::Envelope& burst, sim::SyncEngine& engine) {
 
 void SoaAerState::handle_fw1(sim::Context& ctx, NodeId self, NodeId from,
                              const sim::Message& m) {
-  const sampler::QuorumView h_w = shared_->pull_quorum(m.s, m.b);
+  // A burst delivers d^2 relays of one request back to back, so the
+  // memoized rows hit for d (H(s, w)) or d^2 (H(s, x), J(x, r)) deliveries.
+  const sampler::QuorumView& h_w = h_w_memo_.get(
+      pack_ns(m.b, m.s), 0, [&] { return shared_->pull_quorum(m.s, m.b); });
   if (!h_w.contains(self)) return;  // this in H(s, w)
-  const sampler::QuorumView h_x = shared_->pull_quorum(m.s, m.a);
+  const sampler::QuorumView& h_x = h_x_memo_.get(
+      pack_ns(m.a, m.s), 0, [&] { return shared_->pull_quorum(m.s, m.a); });
   const std::size_t mult = h_x.multiplicity(from);
   if (mult == 0) return;  // y in H(s, x)
-  if (!shared_->poll_list(m.a, m.r).contains(m.b)) return;  // w in J(x,r)
+  const sampler::QuorumView& j_x =
+      j_memo_.get(m.a, m.r, [&] { return shared_->poll_list(m.a, m.r); });
+  if (!j_x.contains(m.b)) return;  // w in J(x, r)
 
-  const auto outer = fw1_tallies_[self].try_emplace(
-      pack_xs(m.a, m.s), fw1_tallies_[self].get_allocator());
-  const auto inner = outer.first->second.try_emplace(m.b);
-  Fw1Tally& tally = inner.first->second;
-  if (inner.second) tally.counted_off = new_counted_span();
+  Retained& kept = retained_[self];
+  bool created = false;
+  const std::uint64_t xs = pack_xs(m.a, m.s);
+  std::uint32_t& group_slot = kept.group_index.get_or_create(xs, created);
+  if (created) group_slot = append(fw1_groups_, kept.groups, xs);
+  const std::uint32_t group = group_slot;
+  std::uint32_t& tally_slot = fw1_tally_index_.get_or_create(
+      (static_cast<std::uint64_t>(group) << 32) | m.b, created);
+  if (created) {
+    tally_slot = append(fw1_tallies_, fw1_groups_[group].tallies, m.b);
+    fw1_tallies_[tally_slot].counted_off = new_counted_span();
+  }
+  Fw1Tally& tally = fw1_tallies_[tally_slot];
   NodeId* counted = counted_at(tally.counted_off);
   if (tally.fired || already_counted(counted, tally.counted, from)) return;
   if (tally.counted == 0) tally.r = m.r;
@@ -340,9 +416,7 @@ void SoaAerState::handle_fw2(sim::Context& ctx, NodeId self, NodeId from,
   const std::size_t mult = h_self.multiplicity(from);
   if (mult == 0) return;  // z in H(s, this)
 
-  const auto emplaced = responder_[self].try_emplace(pack_xs(m.a, m.s));
-  ResponderState& st = emplaced.first->second;
-  if (emplaced.second) st.counted_off = new_counted_span();
+  ResponderState& st = responder(self, pack_xs(m.a, m.s));
   NodeId* counted = counted_at(st.counted_off);
   if (st.answered || already_counted(counted, st.counted, from)) return;
   counted[st.counted++] = from;
@@ -356,9 +430,7 @@ void SoaAerState::handle_fw2(sim::Context& ctx, NodeId self, NodeId from,
 void SoaAerState::handle_poll(sim::Context& ctx, NodeId self, NodeId from,
                               const sim::Message& m) {
   if (!shared_->poll_list(from, m.r).contains(self)) return;
-  const auto emplaced = responder_[self].try_emplace(pack_xs(from, m.s));
-  ResponderState& st = emplaced.first->second;
-  if (emplaced.second) st.counted_off = new_counted_span();
+  ResponderState& st = responder(self, pack_xs(from, m.s));
   if (st.polled) return;
   st.polled = true;
   const sampler::QuorumView h_self = shared_->pull_quorum(m.s, self);
@@ -387,19 +459,6 @@ void SoaAerState::emit_answer(sim::Context& ctx, NodeId self, NodeId x,
 
 namespace {
 
-/// Deterministic size model for a libstdc++ unordered_map<K, V>: one
-/// allocated node per entry (next pointer + value; integral keys cache no
-/// hash) plus the bucket array. Both entry count and bucket count are pure
-/// functions of the insertion history, so warm trials report identical
-/// bytes. The model is the std::allocator layout whatever allocator `m`
-/// uses: the account never includes allocator state (support/mem.h).
-template <typename K, typename V, typename Map>
-std::uint64_t umap_bytes(const Map& m) {
-  return static_cast<std::uint64_t>(m.size()) *
-             (sizeof(void*) + sizeof(std::pair<const K, V>)) +
-         static_cast<std::uint64_t>(m.bucket_count()) * sizeof(void*);
-}
-
 std::uint64_t flat_bytes(std::size_t entries, std::size_t value_size) {
   return support::flat_table_slots(entries) *
          (sizeof(std::uint64_t) + value_size);
@@ -422,25 +481,24 @@ void SoaAerState::charge_mem(support::MemBudget& mem) const {
   mem.charge(flat_bytes(my_pulls_.size(), sizeof(MyPull)));
   mem.charge(flat_bytes(answer_counts_.size(), sizeof(std::uint32_t)));
 
+  mem.charge_vector(pending_pulls_);
+  mem.charge_vector(fw1_groups_);
+  mem.charge_vector(fw1_tallies_);
+  mem.charge_vector(responders_);
+  mem.charge(flat_bytes(fw1_tally_index_.size(), sizeof(std::uint32_t)));
+
   // Per-node container headers (charged at n_, not at the vectors' possibly
   // larger warm capacity, so cold and warm runs report identical bytes).
-  using Fw1Inner = std::unordered_map<NodeId, Fw1Tally>;
   mem.charge(static_cast<std::uint64_t>(n_) *
-             (sizeof(support::FlatSet64) +
-              sizeof(std::unordered_map<std::uint64_t, PollLabel>) +
-              sizeof(std::unordered_map<std::uint64_t, Fw1Inner>) +
-              sizeof(std::unordered_map<std::uint64_t, ResponderState>) +
+             (sizeof(support::FlatSet64) + sizeof(Retained) +
               sizeof(deferred_[0])));
   for (std::size_t id = 0; id < n_; ++id) {
+    const Retained& kept = retained_[id];
     mem.charge(flat_bytes(forwarded_[id].size(), 1));
-    mem.charge(umap_bytes<std::uint64_t, PollLabel>(pending_pulls_[id]));
-    mem.charge(umap_bytes<std::uint64_t, ResponderState>(responder_[id]));
-    const auto& outer = fw1_tallies_[id];
-    mem.charge(umap_bytes<std::uint64_t, Fw1Inner>(outer));
-    for (const auto& [key, inner] : outer) {
-      (void)key;
-      mem.charge(umap_bytes<NodeId, Fw1Tally>(inner));
-    }
+    mem.charge(flat_bytes(kept.pending_index.size(), sizeof(std::uint32_t)));
+    mem.charge(flat_bytes(kept.group_index.size(), sizeof(std::uint32_t)));
+    mem.charge(
+        flat_bytes(kept.responder_index.size(), sizeof(std::uint32_t)));
     mem.charge(static_cast<std::uint64_t>(deferred_peak_[id]) *
                sizeof(std::pair<NodeId, StringId>));
   }

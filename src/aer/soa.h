@@ -26,14 +26,21 @@
 //     minimum-capacity tables;
 //   - credited-sender spans come from one shared bump arena (d entries per
 //     tally: a tally credits at most d distinct quorum members);
-//   - the three ORDER-CRITICAL retained maps (pending pulls, Fw1 tallies,
-//     responder state) are per-node std::unordered_maps: serve_retained()
-//     iterates them to emit messages, so their libstdc++ iteration order is
-//     part of the behavior the golden fingerprints pin. It depends only on
-//     the insertion and bucket-growth history, so reset() rebuilds each map
-//     empty (a cleared map would keep its grown bucket array). The maps draw
-//     nodes and buckets from one support::Pool, so a warm trial allocates
-//     nothing.
+//   - the three ORDER-CRITICAL retained tables (pending pulls, Fw1 tallies,
+//     responder state) are dense record vectors behind FlatMap64 indexes:
+//     a per-node index keyed (x, s) for each, plus, for the Fw1 tallies, a
+//     shared index keyed (relay group, w). Each node threads its records
+//     into a first-insertion-order chain. serve_retained(), run once per
+//     node at decide, is the only code that iterates them, and it sends in
+//     the iteration order of the per-node std::unordered_maps this state
+//     used to keep (the golden fingerprints pin it): that order depends
+//     only on the sequence of distinct keys inserted, so it re-inserts the
+//     chain's keys into a fresh pool-backed map (support::OrderReplay) and
+//     walks that. The replay maps draw from one support::Pool, so a warm
+//     trial allocates nothing.
+//   - handle_fw1, the most frequent handler (every forwarded request fans
+//     out d^2 Fw1 relays), memoizes its last H(s, w), H(s, x) and J(x, r)
+//     rows; rows are immutable and pointer-stable within a trial.
 //
 // One SoaAerState object is the single sim::Actor registered for every
 // correct node (handlers key off ctx.self()), and the sim::BurstSource that
@@ -47,7 +54,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "aer/runner.h"
@@ -63,8 +69,8 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
 
   /// Re-initializes for a fresh trial and registers this object as the
   /// actor of every correct node of `engine` (whose corrupt set must
-  /// already be installed). Dense storage and the retained maps' pool are
-  /// reused across trials; a reset state behaves exactly like a new one.
+  /// already be installed). Dense storage and the replay pool are reused
+  /// across trials; a reset state behaves exactly like a new one.
   void reset(const AerShared* shared, const std::vector<StringId>& initial,
              sim::EngineBase& engine);
 
@@ -174,37 +180,94 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
   /// Flooding guard, keyed (x, s); lookup-only, so FlatSet64 is safe.
   std::vector<support::FlatSet64> forwarded_;
 
+  // -- ORDER-CRITICAL retained state (see the file comment) ------------------
+  static constexpr std::uint32_t kNoRecord = ~0u;
+  /// A first-insertion-order list threaded through a record vector's
+  /// `next` fields.
+  struct Chain {
+    std::uint32_t head = kNoRecord;
+    std::uint32_t tail = kNoRecord;
+  };
+  /// A pull request for a string the node does not (yet) believe in, keyed
+  /// (x, s); served if it later decides on that string.
+  struct PendingPull {
+    std::uint64_t key = 0;
+    PollLabel r = 0;
+    std::uint32_t next = kNoRecord;
+  };
+  /// The Fw1 relays one node holds for a forwarded request, keyed (x, s):
+  /// one tally per poll-list member w.
+  struct Fw1Group {
+    std::uint64_t key = 0;
+    Chain tallies;
+    std::uint32_t next = kNoRecord;
+  };
   struct Fw1Tally {
+    NodeId key = 0;  ///< w
+    std::uint32_t next = kNoRecord;
     PollLabel r = 0;
     std::uint32_t slots = 0;
     std::uint32_t counted = 0;
     std::uint32_t counted_off = 0;
     bool fired = false;
   };
+  /// Responder state, keyed (x, s).
   struct ResponderState {
+    std::uint64_t key = 0;
+    std::uint32_t next = kNoRecord;
     std::uint32_t slots = 0;
     std::uint32_t counted = 0;
     std::uint32_t counted_off = 0;
     bool polled = false;
     bool answered = false;
   };
-  /// Memory pool behind the retained maps. Declared before them so it
-  /// outlives their destructors.
+  /// One node's (x, s) -> record indexes and insertion-order chains.
+  struct Retained {
+    support::FlatMap64<std::uint32_t> pending_index;
+    support::FlatMap64<std::uint32_t> group_index;
+    support::FlatMap64<std::uint32_t> responder_index;
+    Chain pending;
+    Chain groups;
+    Chain responders;
+  };
+  /// Appends a record keyed `key` to `records` and to `chain`; returns its
+  /// index.
+  template <typename Record>
+  static std::uint32_t append(std::vector<Record>& records, Chain& chain,
+                              decltype(Record::key) key);
+  ResponderState& responder(NodeId self, std::uint64_t key);
+
+  std::vector<Retained> retained_;
+  std::vector<PendingPull> pending_pulls_;
+  std::vector<Fw1Group> fw1_groups_;
+  std::vector<Fw1Tally> fw1_tallies_;
+  std::vector<ResponderState> responders_;
+  /// (group << 32 | w) -> Fw1 tally, shared by every node.
+  support::FlatMap64<std::uint32_t> fw1_tally_index_;
+  /// Backs serve_retained's order replays.
   support::Pool pool_;
-  /// ORDER-CRITICAL retained maps (see the file comment), all keyed (x, s):
-  /// pull requests for strings a node does not (yet) believe in, served if
-  /// it later decides on that string; Fw1 tallies per poll-list member w;
-  /// responder state.
-  template <typename K, typename V>
-  using RetainedMap =
-      std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
-                         support::PoolAllocator<std::pair<const K, V>>>;
-  using PendingMap = RetainedMap<std::uint64_t, PollLabel>;
-  using Fw1Tallies = RetainedMap<std::uint64_t, RetainedMap<NodeId, Fw1Tally>>;
-  using ResponderMap = RetainedMap<std::uint64_t, ResponderState>;
-  std::vector<PendingMap> pending_pulls_;
-  std::vector<Fw1Tallies> fw1_tallies_;
-  std::vector<ResponderMap> responder_;
+
+  /// One-entry memo of a quorum-row lookup site, keyed by the lookup's
+  /// arguments; `a` = ~0 (no NodeId / packed pair takes it) means empty.
+  struct RowMemo {
+    std::uint64_t a = ~0ull;
+    std::uint64_t b = 0;
+    sampler::QuorumView view;
+
+    template <typename Lookup>
+    const sampler::QuorumView& get(std::uint64_t ka, std::uint64_t kb,
+                                   Lookup&& lookup) {
+      if (ka != a || kb != b) {
+        view = lookup();
+        a = ka;
+        b = kb;
+      }
+      return view;
+    }
+  };
+  RowMemo h_w_memo_;  ///< H(s, w) in handle_fw1
+  RowMemo h_x_memo_;  ///< H(s, x) in handle_fw1
+  RowMemo j_memo_;    ///< J(x, r) in handle_fw1
 
   /// Over-budget answers waiting for the node's decision.
   std::vector<std::vector<std::pair<NodeId, StringId>>> deferred_;

@@ -6,12 +6,14 @@
 // reuse performs no heap work once warm.
 //
 // IMPORTANT scope restriction: these containers are deliberately
-// *unordered and non-iterable*. Simulation behavior depends on the order
-// messages are sent, so any container whose iteration drives sends must
-// keep std::unordered_map's iteration order (see aer/soa.h's retained
-// maps). FlatMap64 is only for state that is looked up and mutated in
-// place — results are identical regardless of capacity history, which keeps
-// arena-reused trials bit-identical to fresh ones.
+// *unordered and non-iterable*, so results are identical regardless of
+// capacity history, which keeps arena-reused trials bit-identical to fresh
+// ones. Simulation behavior depends on the order messages are sent, so
+// state that is iterated to send cannot be walked through a FlatMap64: it
+// keeps its records in a first-insertion-order chain next to the index,
+// and the one loop that iterates it replays the iteration order of the
+// std::unordered_map it replaced (support::OrderReplay in support/pool.h;
+// aer/soa.h's retained relay and responder state).
 #pragma once
 
 #include <algorithm>

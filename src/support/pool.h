@@ -1,25 +1,33 @@
-// Size-classed memory pool for per-trial container state.
+// Size-classed memory pool, and the order replay it backs.
 //
-// The experiment runner executes thousands of trials back to back; each
-// trial's node-local hash maps would otherwise malloc/free every map node
-// and bucket array. Pool recycles that memory: allocations are served from
-// size-class free lists backed by chunked slabs, deallocations
-// push onto the free list, and nothing is returned to the system until the
-// pool dies. After a warm-up trial has grown the free lists to the
-// working-set size, a trial allocates nothing from the heap — the
-// "zero allocations per trial" contract checked by
+// Flat containers (support/flat_map.h) have no iteration order, but some
+// simulator state is iterated to *send*, and send order is behavior: the
+// golden fingerprints pin the order in which libstdc++'s std::unordered_map
+// used to iterate aer::SoaAerState's retained relay and responder maps.
+// That state now lives in flat indexes plus a first-insertion-order chain,
+// and OrderReplay rebuilds the old order on demand: with unique keys and no
+// erase, a std::unordered_map's iteration order depends only on the
+// sequence of distinct keys inserted (bucket growth and hashing are
+// functions of that sequence; the mapped type and the allocator play no
+// part), so re-inserting the same keys in the same order into a fresh map
+// of the same key type iterates them the same way.
+//
+// Pool gives those short-lived replay maps their nodes and bucket arrays:
+// allocations are served from size-class free lists backed by chunked
+// slabs, deallocations push onto the free list, and nothing is returned to
+// the system until the pool dies. After a warm-up trial has grown the free
+// lists to the working-set size, a trial allocates nothing from the heap —
+// the "zero allocations per trial" contract checked by
 // bench_micro_primitives' BM_WarmTrialAllocations.
-//
-// PoolAllocator adapts a Pool to the std::allocator interface so standard
-// containers can draw from it. Allocator identity does not affect
-// unordered_map iteration order (bucket growth and hashing are unchanged),
-// which the golden-fingerprint suite relies on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <new>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "support/types.h"
@@ -148,6 +156,34 @@ class PoolAllocator {
 
  private:
   Pool* pool_;
+};
+
+/// Replays the iteration order of a std::unordered_map<K, V> (any V, any
+/// allocator) that was built by inserting distinct keys in some order and
+/// never erased from. Feed the same keys in the same first-insertion order
+/// through add(), each tagged with a caller index (typically a record id);
+/// for_each() then visits the tags in the live map's iteration order. The
+/// replay map draws from `pool` and returns everything to it on
+/// destruction, so a warm pool makes a replay allocation-free.
+template <typename K>
+class OrderReplay {
+ public:
+  explicit OrderReplay(Pool* pool) : map_(Alloc(pool)) {}
+
+  /// Inserts `key`, tagged with `index`. A repeated key keeps its first tag
+  /// and, like a repeated live insert, does not change the order.
+  void add(K key, std::uint32_t index) { map_.emplace(key, index); }
+
+  /// Calls visit(index) for every key, in the replayed iteration order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const auto& entry : map_) visit(entry.second);
+  }
+
+ private:
+  using Alloc = PoolAllocator<std::pair<const K, std::uint32_t>>;
+  std::unordered_map<K, std::uint32_t, std::hash<K>, std::equal_to<K>, Alloc>
+      map_;
 };
 
 }  // namespace fba::support

@@ -529,13 +529,88 @@ TEST(PoolTest, BacksUnorderedMapAcrossReconstruction) {
   Map map{Alloc(&pool)};
   for (std::uint64_t i = 0; i < 100; ++i) map[i] = static_cast<int>(i);
   EXPECT_EQ(map.size(), 100u);
-  // Reconstruct fresh (the per-trial reset pattern): old nodes return to the
-  // pool's free lists; refilling reuses them without growing the pool.
+  // Reconstruct fresh: old nodes return to the pool's free lists; refilling
+  // reuses them without growing the pool.
   map = Map(map.get_allocator());
   EXPECT_TRUE(map.empty());
   const std::size_t reserved = pool.reserved_bytes();
   for (std::uint64_t i = 0; i < 100; ++i) map[i] = static_cast<int>(i);
   EXPECT_EQ(map.at(42), 42);
+  EXPECT_EQ(pool.reserved_bytes(), reserved);
+}
+
+// ----- order replay (support/pool.h) ----------------------------------------
+
+/// Builds a std::unordered_map<K, V> live from a random insert sequence
+/// (repeats mixed in) and checks that OrderReplay, fed the distinct keys in
+/// first-insertion order, visits them in the live map's iteration order.
+/// Sizes run 0..600, across libstdc++'s bucket growth at 13/29/59/127/257/541.
+template <typename K>
+void expect_replay_matches_live(std::uint64_t seed, K (*draw)(Rng&)) {
+  Rng rng(seed);
+  support::Pool pool;
+  std::vector<std::size_t> sizes = {0,  1,  12,  13,  14,  29,  30,  59,
+                                    60, 127, 128, 257, 258, 541, 542, 600};
+  for (int i = 0; i < 24; ++i) sizes.push_back(rng.below(601));
+  for (const std::size_t distinct : sizes) {
+    struct Payload {
+      std::uint64_t a = 0;
+      std::uint32_t b = 0;
+    };
+    std::unordered_map<K, Payload> live;
+    std::vector<K> first_order;
+    while (live.size() < distinct) {
+      const K key = !first_order.empty() && rng.chance(0.3)
+                        ? first_order[rng.below(first_order.size())]
+                        : draw(rng);
+      if (live.emplace(key, Payload{}).second) first_order.push_back(key);
+    }
+    std::vector<K> live_order;
+    for (const auto& entry : live) live_order.push_back(entry.first);
+
+    support::OrderReplay<K> replay(&pool);
+    for (std::size_t i = 0; i < first_order.size(); ++i) {
+      replay.add(first_order[i], static_cast<std::uint32_t>(i));
+      // A repeated add keeps the first tag and the order, like a repeated
+      // live insert.
+      if (i > 0 && rng.chance(0.2)) {
+        replay.add(first_order[rng.below(i)], static_cast<std::uint32_t>(i));
+      }
+    }
+    std::vector<K> replayed;
+    replay.for_each([&](std::uint32_t i) { replayed.push_back(first_order[i]); });
+    EXPECT_EQ(replayed, live_order) << "distinct keys: " << distinct;
+  }
+}
+
+TEST(OrderReplayTest, MatchesLiveIterationOrderForPackedKeys) {
+  // (node, string) pairs as aer::SoaAerState packs them, and raw 64-bit keys.
+  expect_replay_matches_live<std::uint64_t>(3, [](Rng& rng) {
+    return (rng.below(4096) << 32) | rng.below(64);
+  });
+  expect_replay_matches_live<std::uint64_t>(4, [](Rng& rng) {
+    return rng.next() >> 1;
+  });
+}
+
+TEST(OrderReplayTest, MatchesLiveIterationOrderForNodeIds) {
+  expect_replay_matches_live<NodeId>(
+      5, [](Rng& rng) { return rng.node(100000); });
+  expect_replay_matches_live<NodeId>(6, [](Rng& rng) { return rng.node(700); });
+}
+
+TEST(OrderReplayTest, WarmPoolReplaysWithoutGrowing) {
+  support::Pool pool;
+  const auto replay_once = [&] {
+    support::OrderReplay<std::uint64_t> replay(&pool);
+    for (std::uint32_t i = 0; i < 600; ++i) replay.add(i * 7919ull, i);
+    std::uint32_t visited = 0;
+    replay.for_each([&](std::uint32_t) { ++visited; });
+    EXPECT_EQ(visited, 600u);
+  };
+  replay_once();
+  const std::size_t reserved = pool.reserved_bytes();
+  replay_once();
   EXPECT_EQ(pool.reserved_bytes(), reserved);
 }
 
